@@ -33,6 +33,20 @@ def iter_set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
     yield from extend(0, [])
 
 
+def iter_identifications(
+    items: Sequence[T], apart: Sequence[tuple[T, T]]
+) -> Iterator[tuple[list[list[T]], dict[T, T]]]:
+    """Set partitions of ``items`` that keep every ``apart`` pair in two blocks.
+
+    Yields each partition, in ``iter_set_partitions`` order, with the map
+    from every item to its representative, the first member of its block.
+    """
+    for blocks in iter_set_partitions(items):
+        rep = {v: block[0] for block in blocks for v in block}
+        if not any(rep[a] == rep[b] for a, b in apart):
+            yield blocks, rep
+
+
 def de_bruijn_binary(n: int) -> list[int]:
     """Binary de Bruijn sequence of order n, length 2**n.
 

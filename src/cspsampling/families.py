@@ -9,10 +9,10 @@ polynomial path is always solve_via_sampling over the generated samples.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import qf
-from .combinatorics import de_bruijn_binary, iter_set_partitions
+from .combinatorics import de_bruijn_binary, iter_identifications
 from .formulas import Instance, Neq, Rel, contract_equalities
 from .model import Signature, Structure, disjoint_union
 from .sampling import SampleFamily, SamplingError
@@ -181,10 +181,8 @@ def colored_partition_sampling(
         neq_pairs = [
             (a.left, a.right) for a in contracted.atoms if isinstance(a, Neq)
         ]
-        for blocks in iter_set_partitions(variables):
+        for blocks, _ in iter_identifications(variables, neq_pairs):
             block_of = {v: i for i, block in enumerate(blocks) for v in block}
-            if any(block_of[l] == block_of[r] for l, r in neq_pairs):
-                continue
             for colors in itertools.product(range(1, m + 1), repeat=len(blocks)):
 
                 def base_test(symbol: str, values: tuple[int, ...]) -> bool:
@@ -423,20 +421,13 @@ def marked_colors_sampling(name: str = "marked-colors") -> SampleFamily:
         contracted, _ = contract_equalities(inst)
         if contracted.has_bot():
             return False
-        parent = {v: v for v in contracted.variables}
-
-        def find(v: str) -> str:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        find, union = _union_find(contracted.variables)
         marked = [
             a.args[0] for a in contracted.atoms
             if isinstance(a, Rel) and a.symbol == MARK
         ]
         for v in marked[1:]:
-            parent[find(v)] = find(marked[0])
+            union(v, marked[0])
         colors: dict[str, set[str]] = {}
         for a in contracted.atoms:
             if isinstance(a, Rel) and a.symbol in (RED, BLUE):
@@ -447,10 +438,7 @@ def marked_colors_sampling(name: str = "marked-colors") -> SampleFamily:
             if isinstance(a, Rel) and a.symbol == DIFF:
                 if find(a.args[0]) == find(a.args[1]):
                     return False
-            elif isinstance(a, Neq):
-                if find(a.left) == find(a.right):
-                    return False
-        return True
+        return not _neq_violated(contracted, find)
 
     return SampleFamily(
         signature,
@@ -465,6 +453,24 @@ def marked_colors_sampling(name: str = "marked-colors") -> SampleFamily:
 # --- shared closure helpers --------------------------------------------------------
 
 
+def _union_find(
+    variables: Sequence[str],
+) -> tuple[Callable[[str], str], Callable[[str, str], None]]:
+    """Find and union over the variables; union(a, b) puts a's root under b's."""
+    parent = {v: v for v in variables}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a: str, b: str) -> None:
+        parent[find(a)] = find(b)
+
+    return find, union
+
+
 def _merge_functional(
     contracted: Instance, modes: dict[str, tuple[str, ...]]
 ) -> tuple[dict[str, set[tuple[str, str]]], callable]:
@@ -475,15 +481,7 @@ def _merge_functional(
     and the find function. Never fails by itself (callers add their own
     rejection rules).
     """
-    variables = contracted.variables
-    parent = {v: v for v in variables}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    find, union = _union_find(contracted.variables)
     raw_edges: dict[str, list[tuple[str, str]]] = {s: [] for s in modes}
     for atom in contracted.atoms:
         if isinstance(atom, Rel) and atom.symbol in modes:
@@ -498,7 +496,7 @@ def _merge_functional(
                 out: dict[str, str] = {}
                 for u, v in canon:
                     if u in out and out[u] != v:
-                        parent[find(v)] = find(out[u])
+                        union(v, out[u])
                         changed = True
                     else:
                         out[u] = v
@@ -506,7 +504,7 @@ def _merge_functional(
                 inn: dict[str, str] = {}
                 for u, v in canon:
                     if v in inn and inn[v] != u:
-                        parent[find(u)] = find(inn[v])
+                        union(u, inn[v])
                         changed = True
                     else:
                         inn[v] = u

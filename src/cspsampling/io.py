@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import families, qf
-from .formulas import BOT, Atom, Eq, Instance, Neq, Rel, validate
+from .formulas import BOT, Atom, Eq, Instance, Neq, Rel, atom_variables, validate
 from .model import Signature, Structure
 from .polymorphisms import OperationTable
 from .sampling import (
@@ -231,7 +231,7 @@ def parse_instance(text: str, signature: Signature) -> Instance:
 
 def print_instance(inst: Instance) -> str:
     lines = []
-    occurring = {v for a in inst.atoms for v in _atom_vars(a)}
+    occurring = {v for a in inst.atoms for v in atom_variables(a)}
     extras = [v for v in inst.variables if v not in occurring]
     if extras:
         lines.append("vars " + ", ".join(extras))
@@ -245,14 +245,6 @@ def print_instance(inst: Instance) -> str:
         else:
             lines.append("false")
     return "\n".join(lines) + "\n"
-
-
-def _atom_vars(a: Atom) -> tuple[str, ...]:
-    if isinstance(a, Rel):
-        return a.args
-    if isinstance(a, (Eq, Neq)):
-        return (a.left, a.right)
-    return ()
 
 
 # --- operation tables -----------------------------------------------------------

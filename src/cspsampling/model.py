@@ -18,13 +18,10 @@ class SignatureError(ValueError):
 
 
 class ShapedPartners(NamedTuple):
-    """Both partner maps of a two-group relation projection, plus each
-    direction's (partner-set size, value) pairs in ascending size order."""
+    """Both partner maps of a two-group relation projection, as sets."""
 
     forward: dict[int, frozenset[int]]
     backward: dict[int, frozenset[int]]
-    forward_by_size: tuple[tuple[int, int], ...]
-    backward_by_size: tuple[tuple[int, int], ...]
 
 
 class ShapedMasks(NamedTuple):
@@ -173,21 +170,6 @@ class Structure:
             self._indexes[key] = cached
         return cached
 
-    def partners(self, name: str, position: int) -> dict[int, frozenset[int]]:
-        """For a binary relation: values at the other position, per value."""
-        if self.signature.arity(name) != 2:
-            raise ValueError(f"{name} is not binary")
-        key = ("partners", name, position)
-        cached = self._indexes.get(key)
-        if cached is None:
-            grouped: dict[int, set[int]] = {}
-            other = 1 - position
-            for t in self.relations[name]:
-                grouped.setdefault(t[position], set()).add(t[other])
-            cached = {v: frozenset(s) for v, s in grouped.items()}
-            self._indexes[key] = cached
-        return cached
-
     def projection(self, name: str, position: int) -> frozenset[int]:
         """All values occurring at one position of a relation."""
         key = ("proj", name, position)
@@ -206,25 +188,25 @@ class Structure:
             self._indexes[key] = cached
         return cached
 
-    def shaped_partners(
+    def shaped_masks(
         self,
         name: str,
         first_positions: tuple[int, ...],
         second_positions: tuple[int, ...],
-    ) -> "ShapedPartners":
-        """Binary projection of a relation onto two position groups.
+    ) -> ShapedMasks:
+        """Binary projection of a relation onto two position groups, as masks.
 
         Keeps tuples that are constant on each group; returns the partner
-        maps in both directions (first-value -> second-values and back),
-        plus each direction's values ordered by partner-set size, which
-        lets solvers bound support rechecks by a pigeonhole argument.
-        Lets atoms with two distinct variables propagate like binary ones.
+        masks in both directions (first-value -> second-values and back),
+        plus each direction's values ordered by partner count, which lets
+        solvers bound support rechecks by a pigeonhole argument. Lets atoms
+        with two distinct variables propagate like binary ones.
         """
-        key = ("shaped", name, first_positions, second_positions)
+        key = ("shaped-masks", name, first_positions, second_positions)
         cached = self._indexes.get(key)
         if cached is None:
-            fwd: dict[int, set[int]] = {}
-            bwd: dict[int, set[int]] = {}
+            forward: dict[int, int] = {}
+            backward: dict[int, int] = {}
             f0 = first_positions[0]
             s0 = second_positions[0]
             f_rest = first_positions[1:]
@@ -236,42 +218,35 @@ class Structure:
                 b = t[s0]
                 if any(t[p] != b for p in s_rest):
                     continue
-                fwd.setdefault(a, set()).add(b)
-                bwd.setdefault(b, set()).add(a)
-            forward = {v: frozenset(s) for v, s in fwd.items()}
-            backward = {v: frozenset(s) for v, s in bwd.items()}
-            cached = ShapedPartners(
+                forward[a] = forward.get(a, 0) | 1 << b
+                backward[b] = backward.get(b, 0) | 1 << a
+            cached = ShapedMasks(
                 forward,
                 backward,
-                tuple(sorted((len(s), v) for v, s in forward.items())),
-                tuple(sorted((len(s), v) for v, s in backward.items())),
+                _mask(forward),
+                _mask(backward),
+                tuple(sorted((m.bit_count(), v) for v, m in forward.items())),
+                tuple(sorted((m.bit_count(), v) for v, m in backward.items())),
             )
             self._indexes[key] = cached
         return cached
 
-    def shaped_masks(
+    def shaped_partners(
         self,
         name: str,
         first_positions: tuple[int, ...],
         second_positions: tuple[int, ...],
-    ) -> ShapedMasks:
-        """Bitmask form of shaped_partners (element k is bit 1 << k)."""
-        key = ("shaped-masks", name, first_positions, second_positions)
-        cached = self._indexes.get(key)
-        if cached is None:
-            shaped = self.shaped_partners(name, first_positions, second_positions)
-            forward = {v: _mask(s) for v, s in shaped.forward.items()}
-            backward = {v: _mask(s) for v, s in shaped.backward.items()}
-            cached = ShapedMasks(
-                forward,
-                backward,
-                _mask(shaped.forward),
-                _mask(shaped.backward),
-                shaped.forward_by_size,
-                shaped.backward_by_size,
-            )
-            self._indexes[key] = cached
-        return cached
+    ) -> ShapedPartners:
+        """``shaped_masks`` decoded into partner sets; not cached."""
+        m = self.shaped_masks(name, first_positions, second_positions)
+
+        def decode(mask: int) -> frozenset[int]:
+            return frozenset(e for e in range(self.domain_size) if mask >> e & 1)
+
+        return ShapedPartners(
+            {v: decode(mask) for v, mask in m.forward.items()},
+            {v: decode(mask) for v, mask in m.backward.items()},
+        )
 
     def projection_mask(self, name: str, position: int) -> int:
         key = ("proj-mask", name, position)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import qf
-from .combinatorics import iter_set_partitions
+from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
 from .model import Signature, Structure
 
@@ -280,10 +280,7 @@ def _union_decider(
             (a.left, a.right) for a in contracted.atoms if isinstance(a, Neq)
         ]
         rel_atoms = [a for a in contracted.atoms if isinstance(a, Rel)]
-        for blocks in iter_set_partitions(variables):
-            rep = {v: block[0] for block in blocks for v in block}
-            if any(rep[l] == rep[r] for l, r in neq_pairs):
-                continue
+        for blocks, rep in iter_identifications(variables, neq_pairs):
             reps = [block[0] for block in blocks]
             all_apart = [Neq(a, b) for a, b in itertools.combinations(reps, 2)]
             ok = True
@@ -380,11 +377,8 @@ def _expansion_decider(
                 defined_atoms.append(a)
             elif isinstance(a, Rel):
                 base_atoms.append(a)
-        for blocks in iter_set_partitions(variables):
-            rep = {v: block[0] for block in blocks for v in block}
+        for blocks, rep in iter_identifications(variables, neq_pairs):
             block_index = {v: i for i, block in enumerate(blocks) for v in block}
-            if any(rep[l] == rep[r] for l, r in neq_pairs):
-                continue
             ok = True
             for a in defined_atoms:
                 _, defn = defined[a.symbol]

@@ -7,6 +7,17 @@ disequalities natively. The consistency procedures (``arc_consistency``,
 procedures on targets with the right polymorphisms; they reject
 disequalities loudly rather than approximating them.
 
+All three share one propagation engine over integer bitmasks (element k of
+the target is bit 1 << k). Seeding narrows each variable's candidates to
+the per-position projections of its atoms, or to the diagonal for atoms on
+one variable. Atoms with two distinct variables become a pair of arcs over
+the target's shaped partner masks; wider atoms are revised by scanning the
+tuple bucket of one anchor value. ``hom_search`` runs the arc fixpoint once
+and then searches, forward-checking wide atoms; ``arc_consistency`` adds
+wide revision up to the generalized arc-consistency (GAC) fixpoint; and
+``establish_23_consistency`` seeds its pair relations, kept as rows of
+bitmasks, from that fixpoint.
+
 Per-sample runs are independent: solver calls own their mutable state and
 inputs are shared read-only, so many solves may run concurrently over one
 family. Verdicts over a family are disjunctions, independent of order.
@@ -14,9 +25,10 @@ family. Verdicts over a family are disjunctions, independent of order.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .formulas import Bot, Eq, Instance, Neq, Rel, contract_equalities, validate
 from .model import Structure
@@ -45,33 +57,12 @@ class ACState:
     domains: Mapping[str, frozenset[int]]
 
 
-def hom_search(inst: Instance, target: Structure) -> SolveResult:
-    """Exact satisfiability of an instance in one structure.
-
-    Equalities are contracted away first; disequalities are enforced as
-    value disequality on the assignment. Search assigns the variable with
-    the smallest candidate set first (ties by name), values in ascending
-    order. Candidate sets are integer bitmasks (element k is bit 1 << k),
-    seeded from unary atoms and per-position projections, revised across
-    atoms with two distinct variables, and pruned by forward checking on
-    wider atoms; two-variable atoms are enforced exactly whenever either
-    side collapses to a single value.
-    """
-    validate(inst)
-    if inst.has_bot():
-        return SolveResult(False)
-    contracted, mapping = contract_equalities(inst)
-    if contracted.has_bot():
-        return SolveResult(False)
-    variables = contracted.variables
-    if not variables:
-        return SolveResult(True, {}, None)
-
-    atoms = [a for a in contracted.atoms if isinstance(a, Rel)]
-    neqs = [a for a in contracted.atoms if isinstance(a, Neq)]
-
+def _seed(
+    target: Structure, variables: Sequence[str], atoms: Sequence[Rel]
+) -> dict[str, int]:
+    """Candidate masks from projections and diagonals; some may be empty."""
     full = (1 << target.domain_size) - 1
-    cand: dict[str, int] = {v: full for v in variables}
+    cand = {v: full for v in variables}
     for a in atoms:
         distinct = tuple(dict.fromkeys(a.args))
         if len(distinct) == 1:
@@ -79,13 +70,19 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
             continue
         for pos, v in enumerate(a.args):
             cand[v] &= target.projection_mask(a.symbol, pos)
-    if any(not c for c in cand.values()):
-        return SolveResult(False)
+    return cand
 
-    # Atoms with two distinct variables become arcs (affected, partner
-    # masks, watched, key mask, size-ordered values); atoms with one
-    # distinct variable are exhausted by the diagonal seeding above; wider
-    # atoms are forward-checked through per-position tuple indexes.
+
+def _arc_table(
+    target: Structure, variables: Sequence[str], atoms: Sequence[Rel]
+) -> tuple[list[tuple], dict[str, list[int]], dict[str, list[Rel]]]:
+    """Arcs, the arcs each variable's mask feeds, and the wide atoms per variable.
+
+    An atom with two distinct variables becomes one arc per direction:
+    (affected, partner masks, watched, partner masks of watched values, key
+    mask, size-ordered values). Atoms with one distinct variable are
+    exhausted by seeding; wider atoms are listed under each variable.
+    """
     arcs: list[tuple] = []
     arcs_watching: dict[str, list[int]] = {v: [] for v in variables}
     atoms_of: dict[str, list[Rel]] = {v: [] for v in variables}
@@ -106,6 +103,155 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
         else:
             for v in distinct:
                 atoms_of[v].append(a)
+    return arcs, arcs_watching, atoms_of
+
+
+def _run_arcs(
+    arcs: list[tuple],
+    arcs_watching: dict[str, list[int]],
+    cand: dict[str, int],
+    queue: deque,
+    queued: set,
+    trail: list,
+    domain_size: int,
+    wide: bool,
+) -> bool:
+    """Arc revision across two-variable atoms; old masks on the trail.
+
+    A singleton watched domain supports exactly the assigned value's
+    partner mask, so that case is one AND; this is what makes assignments
+    enforce these atoms exactly. A wide watched domain has lost at most
+    domain - |dom| values, so by pigeonhole only affected values with that
+    few partners can have lost them all; they are the only ones checked.
+    Wide revision runs in fixpoints; during search the singleton case
+    carries the pruning.
+    """
+    while queue:
+        arc_id = queue.popleft()
+        queued.discard(arc_id)
+        affected, keyed, watched, from_watched, keys_mask, by_size = arcs[arc_id]
+        dom_w = cand[watched]
+        dom_a = cand[affected]
+        if dom_w & (dom_w - 1) == 0:  # singleton
+            new = dom_a & from_watched.get(dom_w.bit_length() - 1, 0)
+        elif not wide:
+            continue
+        else:
+            new = dom_a & keys_mask
+            threshold = domain_size - dom_w.bit_count()
+            if threshold:
+                for size, b in by_size:
+                    if size > threshold:
+                        break
+                    bit = 1 << b
+                    if new & bit and not keyed[b] & dom_w:
+                        new &= ~bit
+        if new != dom_a:
+            trail.append((affected, dom_a))
+            cand[affected] = new
+            if not new:
+                return False
+            for next_id in arcs_watching[affected]:
+                if next_id not in queued:
+                    queue.append(next_id)
+                    queued.add(next_id)
+    return True
+
+
+def _supporting(
+    bucket: Sequence[tuple[int, ...]], args: tuple[str, ...], masks: Mapping[str, int]
+) -> Iterator[dict[str, int]]:
+    """The tuples of an anchor bucket that support an atom, as value maps.
+
+    A tuple supports the atom when every variable takes one value across
+    its positions, and that value lies in the variable's mask if ``masks``
+    has one. Each supporting tuple yields its variable -> value map.
+    """
+    for t in bucket:
+        values: dict[str, int] = {}
+        for x, val in zip(args, t):
+            known = values.get(x)
+            if known is None:
+                mask = masks.get(x)
+                if mask is not None and not mask >> val & 1:
+                    break
+                values[x] = val
+            elif known != val:
+                break
+        else:
+            yield values
+
+
+def _gac_fixpoint(
+    target: Structure, variables: Sequence[str], atoms: Sequence[Rel]
+) -> Optional[tuple[dict[str, int], list[tuple], dict[str, list[Rel]]]]:
+    """Masks at the GAC fixpoint with the arcs and wide atoms, or None.
+
+    Arcs run to their fixpoint, then a sweep over the wide atoms drops each
+    value that no tuple within the masks supports, until a sweep drops
+    nothing. Every step drops only unsupported values, so the result is the
+    unique largest arc-consistent narrowing; None means a mask emptied.
+    """
+    cand = _seed(target, variables, atoms)
+    if not all(cand.values()):
+        return None
+    arcs, arcs_watching, atoms_of = _arc_table(target, variables, atoms)
+    wide = dict.fromkeys(a for listed in atoms_of.values() for a in listed)
+    queue = deque(range(len(arcs)))
+    while all(cand.values()) and _run_arcs(
+        arcs, arcs_watching, cand, queue, set(queue), [], target.domain_size, True
+    ):
+        narrowed: dict[str, None] = {}  # insertion order keeps the requeue order fixed
+        for atom in wide:
+            for u in dict.fromkeys(atom.args):
+                buckets = target.tuples_by_value(atom.symbol, atom.args.index(u))
+                for value in _bits(cand[u]):
+                    bucket = buckets.get(value, ())
+                    if next(_supporting(bucket, atom.args, cand), None) is None:
+                        cand[u] ^= 1 << value
+                        narrowed[u] = None
+        if not narrowed:
+            return cand, arcs, atoms_of
+        queue = deque(dict.fromkeys(i for u in narrowed for i in arcs_watching[u]))
+    return None
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Set bit positions of a mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def hom_search(inst: Instance, target: Structure) -> SolveResult:
+    """Exact satisfiability of an instance in one structure.
+
+    Equalities are contracted away first; disequalities are enforced as
+    value disequality on the assignment. Search assigns the variable with
+    the smallest candidate set first (ties by name), values in ascending
+    order. Candidate masks are seeded and narrowed by the arc fixpoint of
+    the shared engine; during search, wider atoms are forward-checked
+    through their anchor buckets, and two-variable atoms are enforced
+    exactly whenever either side collapses to a single value. The search
+    keeps its own stack, so instance depth is not bounded by recursion.
+    """
+    validate(inst)
+    if inst.has_bot():
+        return SolveResult(False)
+    contracted, mapping = contract_equalities(inst)
+    if contracted.has_bot():
+        return SolveResult(False)
+    variables = contracted.variables
+    if not variables:
+        return SolveResult(True, {}, None)
+
+    atoms = [a for a in contracted.atoms if isinstance(a, Rel)]
+    neqs = [a for a in contracted.atoms if isinstance(a, Neq)]
+    cand = _seed(target, variables, atoms)
+    if not all(cand.values()):
+        return SolveResult(False)
+    arcs, arcs_watching, atoms_of = _arc_table(target, variables, atoms)
     neq_neighbors: dict[str, list[str]] = {v: [] for v in variables}
     for a in neqs:
         neq_neighbors[a.left].append(a.right)
@@ -116,92 +262,8 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     relations = target.relations
     domain_size = target.domain_size
 
-    def allowed_per_open(
-        atom: Rel, anchor: int, open_vars: list[str]
-    ) -> dict[str, int]:
-        """Per-variable supported value masks from one anchor-bucket scan.
-
-        A tuple supports the atom when it matches every assigned argument
-        and assigns each open variable consistently across its positions;
-        the projections to the open variables are collected independently.
-        """
-        args = atom.args
-        bucket = target.tuples_by_value(atom.symbol, anchor).get(
-            assignment[args[anchor]], ()
-        )
-        allowed: dict[str, int] = {u: 0 for u in open_vars}
-        open_set = set(open_vars)
-        for t in bucket:
-            ok = True
-            values: dict[str, int] = {}
-            for i, x in enumerate(args):
-                if x in open_set:
-                    known = values.get(x)
-                    if known is None:
-                        values[x] = t[i]
-                    elif known != t[i]:
-                        ok = False
-                        break
-                elif t[i] != assignment[x]:
-                    ok = False
-                    break
-            if ok:
-                for u in open_vars:
-                    allowed[u] |= 1 << values[u]
-        return allowed
-
-    def run_arcs(queue: deque, queued: set, trail: list, wide: bool) -> bool:
-        """Arc revision across two-variable atoms; old masks on the trail.
-
-        A singleton watched domain supports exactly the assigned value's
-        partner mask, so that case is one AND; this is what makes
-        assignments enforce these atoms exactly. A wide watched domain has
-        lost at most domain - |dom| values, so by pigeonhole only affected
-        values with that few partners can have lost them all; they are the
-        only ones checked. Wide revision runs in the initial fixpoint;
-        during search the singleton case carries the pruning.
-        """
-        while queue:
-            arc_id = queue.popleft()
-            queued.discard(arc_id)
-            affected, keyed, watched, from_watched, keys_mask, by_size = arcs[arc_id]
-            dom_w = cand[watched]
-            dom_a = cand[affected]
-            if dom_w & (dom_w - 1) == 0:  # singleton
-                new = dom_a & from_watched.get(dom_w.bit_length() - 1, 0)
-            elif not wide:
-                continue
-            else:
-                new = dom_a & keys_mask
-                threshold = domain_size - dom_w.bit_count()
-                if threshold:
-                    for size, b in by_size:
-                        if size > threshold:
-                            break
-                        bit = 1 << b
-                        if new & bit and not keyed[b] & dom_w:
-                            new &= ~bit
-            if new != dom_a:
-                trail.append((affected, dom_a))
-                cand[affected] = new
-                if not new:
-                    return False
-                for next_id in arcs_watching[affected]:
-                    if next_id not in queued:
-                        queue.append(next_id)
-                        queued.add(next_id)
-        return True
-
     def propagate(var: str, value: int, trail: list) -> bool:
-        queue: deque[int] = deque()
-        queued: set[int] = set()
-
-        def touch(u: str) -> None:
-            for arc_id in arcs_watching[u]:
-                if arc_id not in queued:
-                    queue.append(arc_id)
-                    queued.add(arc_id)
-
+        touched = []
         bit = 1 << value
         for other in neq_neighbors[var]:
             if other in assignment:
@@ -212,60 +274,69 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
                 cand[other] &= ~bit
                 if not cand[other]:
                     return False
-                touch(other)
+                touched.append(other)
         for atom in atoms_of[var]:
             open_vars = [x for x in dict.fromkeys(atom.args) if x not in assignment]
             if not open_vars:
                 if tuple(assignment[x] for x in atom.args) not in relations[atom.symbol]:
                     return False
-            else:
-                anchor = atom.args.index(var)
-                allowed = allowed_per_open(atom, anchor, open_vars)
+                continue
+            # assigned variables keep singleton masks; open ones are unfiltered
+            fixed = {x: cand[x] for x in atom.args if x in assignment}
+            bucket = target.tuples_by_value(atom.symbol, atom.args.index(var)).get(value, ())
+            allowed = dict.fromkeys(open_vars, 0)
+            for values in _supporting(bucket, atom.args, fixed):
                 for u in open_vars:
-                    new = cand[u] & allowed[u]
-                    if new == cand[u]:
-                        continue
-                    trail.append((u, cand[u]))
-                    cand[u] = new
-                    if not new:
-                        return False
-                    touch(u)
-        touch(var)
-        return run_arcs(queue, queued, trail, wide=False)
-
-    def search() -> bool:
-        if not unassigned:
-            return True
-        var = min(unassigned, key=lambda v: (cand[v].bit_count(), v))
-        unassigned.discard(var)
-        entry_dom = cand[var]
-        dom = entry_dom
-        while dom:
-            low = dom & -dom
-            dom ^= low
-            value = low.bit_length() - 1
-            assignment[var] = value
-            cand[var] = low
-            trail: list = []
-            if propagate(var, value, trail) and search():
-                return True
-            for u, old in reversed(trail):
-                cand[u] = old
-            cand[var] = entry_dom
-            del assignment[var]
-        unassigned.add(var)
-        return False
+                    allowed[u] |= 1 << values[u]
+            for u in open_vars:
+                new = cand[u] & allowed[u]
+                if new == cand[u]:
+                    continue
+                trail.append((u, cand[u]))
+                cand[u] = new
+                if not new:
+                    return False
+                touched.append(u)
+        touched.append(var)
+        queue = deque(dict.fromkeys(i for u in touched for i in arcs_watching[u]))
+        return _run_arcs(
+            arcs, arcs_watching, cand, queue, set(queue), trail, domain_size, False
+        )
 
     # initial fixpoint narrows every window before the search starts
-    init_trail: list = []
-    init_queue = deque(range(len(arcs)))
-    if not run_arcs(init_queue, set(init_queue), init_trail, wide=True):
+    queue = deque(range(len(arcs)))
+    if not _run_arcs(arcs, arcs_watching, cand, queue, set(queue), [], domain_size, True):
         return SolveResult(False)
 
-    if search():
-        witness = {v: assignment[mapping[v]] for v in inst.variables}
-        return SolveResult(True, witness, None)
-    return SolveResult(False)
+    # depth-first search; a frame is (variable, its mask on entry, the values
+    # not yet tried, the trail of the value being tried)
+    stack: list[tuple] = []
+    descend = True
+    while True:
+        if descend:
+            if not unassigned:
+                witness = {v: assignment[mapping[v]] for v in inst.variables}
+                return SolveResult(True, witness, None)
+            var = min(unassigned, key=lambda v: (cand[v].bit_count(), v))
+            unassigned.discard(var)
+            stack.append((var, cand[var], _bits(cand[var]), []))
+        var, entry_dom, values, trail = stack[-1]
+        for u, old in reversed(trail):
+            cand[u] = old
+        trail.clear()
+        cand[var] = entry_dom
+        value = next(values, None)
+        if value is None:
+            assignment.pop(var, None)
+            unassigned.add(var)
+            stack.pop()
+            if not stack:
+                return SolveResult(False)
+            descend = False
+            continue
+        assignment[var] = value
+        cand[var] = 1 << value
+        descend = propagate(var, value, trail)
 
 
 def check_witness(
@@ -291,230 +362,124 @@ def check_witness(
     return True
 
 
+def _relation_atoms(inst: Instance, name: str) -> list[Rel]:
+    """The relation atoms of an instance without equalities or disequalities."""
+    validate(inst)
+    for atom in inst.atoms:
+        if isinstance(atom, Eq):
+            raise SolverError(f"{name} requires equality-contracted input")
+        if isinstance(atom, Neq):
+            raise SolverError(f"{name} does not support disequalities")
+    return [a for a in inst.atoms if isinstance(a, Rel)]
+
+
 def arc_consistency(inst: Instance, target: Structure) -> Optional[ACState]:
     """Generalized arc-consistency fixpoint, or None when inconsistent.
 
-    Repeatedly deletes a value from a variable's candidate set when some
-    atom containing the variable has no supporting tuple consistent with
-    the current sets. FIFO worklist of (atom, variable) pairs; the fixpoint
-    is unique, so the result does not depend on processing order. Never
-    reports inconsistency on a satisfiable pair. Equalities must be
+    A value stays in a variable's candidate set only while every atom on
+    the variable has a supporting tuple within the current sets. The
+    fixpoint is unique, so the result does not depend on processing order.
+    Never reports inconsistency on a satisfiable pair. Equalities must be
     contracted away beforehand; disequalities are not supported here.
     """
-    validate(inst)
-    for atom in inst.atoms:
-        if isinstance(atom, Eq):
-            raise SolverError("arc consistency requires equality-contracted input")
-        if isinstance(atom, Neq):
-            raise SolverError("arc consistency does not support disequalities")
+    atoms = _relation_atoms(inst, "arc consistency")
     if inst.has_bot():
         return None
-    variables = inst.variables
-    domains: dict[str, set[int]] = {
-        v: set(range(target.domain_size)) for v in variables
-    }
-    if any(not d for d in domains.values()):
+    fixpoint = _gac_fixpoint(target, inst.variables, atoms)
+    if fixpoint is None:
         return None
-    atoms = [a for a in inst.atoms if isinstance(a, Rel)]
-
-    queue: deque[tuple[int, str]] = deque(
-        (i, v) for i, a in enumerate(atoms) for v in dict.fromkeys(a.args)
-    )
-    queued = set(queue)
-    while queue:
-        i, v = queue.popleft()
-        queued.discard((i, v))
-        atom = atoms[i]
-        args = atom.args
-        v_positions = [p for p, x in enumerate(args) if x == v]
-        bucket_index = target.tuples_by_value(atom.symbol, v_positions[0])
-        dom_v = domains[v]
-        allowed: set[int] = set()
-        for val in dom_v:
-            for t in bucket_index.get(val, ()):
-                ok = True
-                for p, x in enumerate(args):
-                    if x == v:
-                        if t[p] != val:
-                            ok = False
-                            break
-                    elif t[p] not in domains[x]:
-                        ok = False
-                        break
-                if ok:
-                    allowed.add(val)
-                    break
-        if len(allowed) < len(dom_v):
-            domains[v] = allowed
-            if not allowed:
-                return None
-            for j, b in enumerate(atoms):
-                if v in b.args:
-                    for u in dict.fromkeys(b.args):
-                        if u != v and (j, u) not in queued:
-                            queue.append((j, u))
-                            queued.add((j, u))
-    return ACState({v: frozenset(d) for v, d in domains.items()})
+    return ACState({v: frozenset(_bits(m)) for v, m in fixpoint[0].items()})
 
 
 def establish_23_consistency(inst: Instance, target: Structure) -> bool:
-    """(2,3)-consistency closure; True means no pair set emptied.
+    """(2,3)-consistency closure; True means no pair relation emptied.
 
-    Maintains, for every pair of variables, a set of value pairs; a pair is
-    pruned when some third variable admits no value compatible with both
-    sides and with every atom living inside the triple, or when an atom
-    spanning more than three variables has no supporting tuple extending
-    the pair. On targets with a ternary near-unanimity polymorphism a
+    Keeps, for every ordered pair of variables, one row bitmask of partner
+    values per value, seeded from the GAC fixpoint and the atoms on the
+    pair. A value pair is pruned when some third variable admits no value
+    compatible with both sides and with every atom living inside the
+    triple, or when an atom spanning more than three variables has no
+    supporting tuple extending the pair. The GAC seeding removes nothing
+    the closure keeps, since every value of a consistent closure has GAC
+    support. On targets with a ternary near-unanimity polymorphism a
     consistent outcome implies satisfiability; elsewhere it is a sound
     filter only.
     """
-    validate(inst)
-    for atom in inst.atoms:
-        if isinstance(atom, Eq):
-            raise SolverError("(2,3)-consistency requires equality-contracted input")
-        if isinstance(atom, Neq):
-            raise SolverError("(2,3)-consistency does not support disequalities")
+    atoms = _relation_atoms(inst, "(2,3)-consistency")
     if inst.has_bot():
         return False
     variables = inst.variables
-    atoms = [a for a in inst.atoms if isinstance(a, Rel)]
-    domain = range(target.domain_size)
+    fixpoint = _gac_fixpoint(target, variables, atoms)
+    if fixpoint is None:
+        return False
+    cand, arcs, atoms_of = fixpoint
+    # rel[(u, w)][a] is the mask of w-values still paired with u = a
+    rel = {
+        (u, w): dict.fromkeys(_bits(cand[u]), cand[w])
+        for u in variables
+        for w in variables
+        if u != w
+    }
+    for affected, _, watched, from_watched, _, _ in arcs:
+        rows = rel[(watched, affected)]
+        for a in rows:
+            rows[a] &= from_watched.get(a, 0)
+    if not all(any(rows.values()) for rows in rel.values()):
+        return False
+    triples: dict[frozenset[str], list[Rel]] = {}
+    for atom in atoms:
+        if len(set(atom.args)) == 3:
+            triples.setdefault(frozenset(atom.args), []).append(atom)
+    wide_of = {
+        v: [atom for atom in atoms_of[v] if len(set(atom.args)) > 3]
+        for v in variables
+    }
     relations = target.relations
 
-    def scope(atom: Rel) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(atom.args))
+    def holds(extra: list[Rel], values: dict[str, int]) -> bool:
+        return all(
+            tuple(values[v] for v in atom.args) in relations[atom.symbol]
+            for atom in extra
+        )
 
-    def atom_holds(atom: Rel, values: Mapping[str, int]) -> bool:
-        return tuple(values[x] for x in atom.args) in relations[atom.symbol]
-
-    if not variables:
+    def supported(x: str, a: int, y: str, b: int) -> bool:
+        masks = {x: 1 << a, y: 1 << b}
+        for z in variables:
+            if z == x or z == y:
+                continue
+            masks[z] = both = rel[(x, z)].get(a, 0) & rel[(y, z)].get(b, 0)
+            extra = triples.get(frozenset((x, y, z))) if triples else None
+            if extra and not any(holds(extra, {x: a, y: b, z: w}) for w in _bits(both)):
+                return False
+            if not both:
+                return False
+        for u, value in ((x, a), (y, b)):
+            for atom in wide_of[u]:
+                bucket = target.tuples_by_value(
+                    atom.symbol, atom.args.index(u)
+                ).get(value, ())
+                if next(_supporting(bucket, atom.args, masks), None) is None:
+                    return False
         return True
-    singles: dict[str, set[int]] = {}
-    for v in variables:
-        unary = [a for a in atoms if scope(a) == (v,)]
-        singles[v] = {
-            val for val in domain if all(atom_holds(a, {v: val}) for a in unary)
-        }
-        if not singles[v]:
-            return False
-    if len(variables) == 1:
-        return True
 
-    order = {v: i for i, v in enumerate(variables)}
-    pair_keys = [
-        (x, y)
-        for i, x in enumerate(variables)
-        for y in variables[i + 1 :]
-    ]
-    allowed: dict[tuple[str, str], set[tuple[int, int]]] = {}
-    rows: dict[tuple[str, str], dict[int, set[int]]] = {}
-    cols: dict[tuple[str, str], dict[int, set[int]]] = {}
-
-    def insert(key, a, b):
-        allowed[key].add((a, b))
-        rows[key].setdefault(a, set()).add(b)
-        cols[key].setdefault(b, set()).add(a)
-
-    def remove(key, a, b):
-        allowed[key].discard((a, b))
-        rows[key][a].discard(b)
-        cols[key][b].discard(a)
-
-    for x, y in pair_keys:
-        key = (x, y)
-        allowed[key] = set()
-        rows[key] = {}
-        cols[key] = {}
-        local = [a for a in atoms if set(scope(a)) <= {x, y} and len(scope(a)) == 2]
-        for a_val in singles[x]:
-            for b_val in singles[y]:
-                if all(atom_holds(a, {x: a_val, y: b_val}) for a in local):
-                    insert(key, a_val, b_val)
-        if not allowed[key]:
-            return False
-
-    def compat(u: str, u_val: int, z: str) -> set[int]:
-        if order[u] < order[z]:
-            return rows[(u, z)].get(u_val, set())
-        return cols[(z, u)].get(u_val, set())
-
-    triple_atoms: dict[tuple[str, str, str], list[Rel]] = {}
-    wide_atoms: list[Rel] = []
-    for a in atoms:
-        s = sorted(scope(a), key=order.get)
-        if len(s) == 3:
-            triple_atoms.setdefault(tuple(s), []).append(a)
-        elif len(s) > 3:
-            wide_atoms.append(a)
-
+    pair_keys = list(itertools.combinations(variables, 2))
     queue: deque[tuple[str, str]] = deque(pair_keys)
     queued = set(queue)
     while queue:
-        x, y = queue.popleft()
-        queued.discard((x, y))
-        key = (x, y)
+        key = queue.popleft()
+        queued.discard(key)
+        x, y = key
+        rows, cols = rel[key], rel[(y, x)]
         changed = False
-        for a_val, b_val in sorted(allowed[key]):
-            dead = False
-            for z in variables:
-                if z == x or z == y:
-                    continue
-                wa = compat(x, a_val, z)
-                wb = compat(y, b_val, z)
-                triple = tuple(sorted((x, y, z), key=order.get))
-                extra = triple_atoms.get(triple)
-                if not extra:
-                    if wa.isdisjoint(wb):
-                        dead = True
-                        break
-                else:
-                    found = False
-                    for w in wa & wb:
-                        values = {x: a_val, y: b_val, z: w}
-                        if all(atom_holds(a, values) for a in extra):
-                            found = True
-                            break
-                    if not found:
-                        dead = True
-                        break
-            if not dead:
-                for a in wide_atoms:
-                    s = scope(a)
-                    if x not in s and y not in s:
-                        continue
-                    found = False
-                    for t in relations[a.symbol]:
-                        values = {}
-                        ok = True
-                        for p, var in enumerate(a.args):
-                            if var in values and values[var] != t[p]:
-                                ok = False
-                                break
-                            values[var] = t[p]
-                        if not ok:
-                            continue
-                        if x in values and values[x] != a_val:
-                            continue
-                        if y in values and values[y] != b_val:
-                            continue
-                        good = all(
-                            values[z]
-                            in (compat(x, a_val, z) & compat(y, b_val, z))
-                            for z in values
-                            if z not in (x, y)
-                        )
-                        if good:
-                            found = True
-                            break
-                    if not found:
-                        dead = True
-                        break
-            if dead:
-                remove(key, a_val, b_val)
-                changed = True
-                if not allowed[key]:
-                    return False
+        for a, row in rows.items():
+            for b in _bits(row):
+                if not supported(x, a, y, b):
+                    rows[a] ^= 1 << b
+                    cols[b] ^= 1 << a
+                    changed = True
         if changed:
+            if not any(rows.values()):
+                return False
             for other in pair_keys:
                 if other != key and (x in other or y in other) and other not in queued:
                     queue.append(other)
@@ -522,13 +487,31 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
     return True
 
 
-def _prepare(family: SampleFamily, inst: Instance) -> tuple[Instance, dict, bool]:
+def _over_sampling(
+    family: SampleFamily,
+    inst: Instance,
+    decide: Callable[[Instance, Structure], SolveResult],
+    neq_error: Optional[str],
+) -> SolveResult:
+    """Run ``decide`` on the samples at the instance's index, its number of
+    variables after contracting equalities; the first sample it accepts
+    gives the verdict. Disequalities raise ``neq_error`` when it is set."""
     validate(inst)
     if inst.signature != family.signature:
         raise SolverError("instance signature differs from the family's signature")
     contracted, mapping = contract_equalities(inst)
-    has_neq = any(isinstance(a, Neq) for a in contracted.atoms)
-    return contracted, mapping, has_neq
+    if contracted.has_bot():
+        return SolveResult(False)
+    if neq_error and any(isinstance(a, Neq) for a in contracted.atoms):
+        raise SolverError(neq_error)
+    for index, sample in enumerate(family.generate(len(contracted.variables))):
+        res = decide(contracted, sample)
+        if res.satisfiable:
+            witness = None
+            if res.assignment is not None:
+                witness = {v: res.assignment[mapping[v]] for v in inst.variables}
+            return SolveResult(True, witness, index)
+    return SolveResult(False)
 
 
 def solve_via_sampling(family: SampleFamily, inst: Instance) -> SolveResult:
@@ -539,20 +522,10 @@ def solve_via_sampling(family: SampleFamily, inst: Instance) -> SolveResult:
     and complete whenever the family really is a sampling for its theory.
     Disequalities are permitted only for equality-matching families.
     """
-    contracted, mapping, has_neq = _prepare(family, inst)
-    if contracted.has_bot():
-        return SolveResult(False)
-    if has_neq and not family.equality_matching:
-        raise SolverError(
-            "disequalities require an equality-matching sample family"
-        )
-    n = len(contracted.variables)
-    for index, sample in enumerate(family.generate(n)):
-        res = hom_search(contracted, sample)
-        if res.satisfiable:
-            witness = {v: res.assignment[mapping[v]] for v in inst.variables}
-            return SolveResult(True, witness, index)
-    return SolveResult(False)
+    neq_error = None
+    if not family.equality_matching:
+        neq_error = "disequalities require an equality-matching sample family"
+    return _over_sampling(family, inst, hom_search, neq_error)
 
 
 def solve_ac_over_sampling(family: SampleFamily, inst: Instance) -> SolveResult:
@@ -563,16 +536,12 @@ def solve_ac_over_sampling(family: SampleFamily, inst: Instance) -> SolveResult:
     totally symmetric polymorphisms of all arities; the verdict carries no
     witness. Disequalities are not supported.
     """
-    contracted, _, has_neq = _prepare(family, inst)
-    if contracted.has_bot():
-        return SolveResult(False)
-    if has_neq:
-        raise SolverError("arc-consistency solving does not support disequalities")
-    n = len(contracted.variables)
-    for index, sample in enumerate(family.generate(n)):
-        if arc_consistency(contracted, sample) is not None:
-            return SolveResult(True, None, index)
-    return SolveResult(False)
+    return _over_sampling(
+        family,
+        inst,
+        lambda c, s: SolveResult(arc_consistency(c, s) is not None),
+        "arc-consistency solving does not support disequalities",
+    )
 
 
 def solve_nu_over_sampling(family: SampleFamily, inst: Instance) -> SolveResult:
@@ -581,13 +550,9 @@ def solve_nu_over_sampling(family: SampleFamily, inst: Instance) -> SolveResult:
     Sound as a decision procedure only when the samples carry a ternary
     near-unanimity polymorphism; the verdict carries no witness.
     """
-    contracted, _, has_neq = _prepare(family, inst)
-    if contracted.has_bot():
-        return SolveResult(False)
-    if has_neq:
-        raise SolverError("(2,3)-consistency solving does not support disequalities")
-    n = len(contracted.variables)
-    for index, sample in enumerate(family.generate(n)):
-        if establish_23_consistency(contracted, sample):
-            return SolveResult(True, None, index)
-    return SolveResult(False)
+    return _over_sampling(
+        family,
+        inst,
+        lambda c, s: SolveResult(establish_23_consistency(c, s)),
+        "(2,3)-consistency solving does not support disequalities",
+    )

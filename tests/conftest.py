@@ -44,6 +44,39 @@ def brute_force_hom(inst: cs.Instance, target: cs.Structure):
     return None
 
 
+def brute_force_gac(inst: cs.Instance, target: cs.Structure):
+    """Generalized arc consistency by its definition; the oracle for
+    arc_consistency.
+
+    A tuple supports a relation atom when it gives every argument variable
+    one value, taken from that variable's current set; values that no
+    tuple of some atom supports are dropped until nothing changes. Returns
+    the sets, or None when one empties.
+    """
+    domains = {v: set(range(target.domain_size)) for v in inst.variables}
+    atoms = [a for a in inst.atoms if isinstance(a, cs.Rel)]
+    changed = True
+    while changed:
+        changed = False
+        for atom in atoms:
+            kept: dict[str, set[int]] = {v: set() for v in atom.args}
+            for t in target.relations[atom.symbol]:
+                values: dict[str, int] = {}
+                for v, e in zip(atom.args, t):
+                    if values.setdefault(v, e) != e or e not in domains[v]:
+                        break
+                else:
+                    for v, e in values.items():
+                        kept[v].add(e)
+            for v, support in kept.items():
+                if not domains[v] <= support:
+                    domains[v] &= support
+                    changed = True
+    if any(not d for d in domains.values()):
+        return None
+    return {v: frozenset(d) for v, d in domains.items()}
+
+
 def rank_color_oracle(inst: cs.Instance) -> bool:
     """Satisfiability of a scheduling instance, decided semantically.
 

@@ -160,3 +160,32 @@ def test_cli_verdicts_match_library_on_random_corpus(tmp_path, capsys):
         )
         expected = cs.solve_via_sampling(fam, inst).satisfiable
         assert code == (0 if expected else 1)
+
+
+def test_solve_crash_exits_2_not_1(tmp_path, capsys, monkeypatch):
+    import cspsampling.cli as cli
+
+    def crash(family, inst):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(cli, "solve_via_sampling", crash)
+    inst = tmp_path / "plan.inst"
+    inst.write_text("lt(x,y)\n")
+    code, out, err = run(capsys, "solve", "--theory", THEORY, "--instance", str(inst))
+    assert code == 2
+    assert "verdict" not in out
+    assert "error:" in err and "solver crashed" in err
+
+
+def test_solve_deep_path_instance(tmp_path, capsys):
+    theory = tmp_path / "loopy.theory"
+    theory.write_text(
+        "theory L = explicit { sig E/2; sample { domain 2; rel E: (0,1) (1,0) (0,0); } }\n"
+    )
+    inst = tmp_path / "path.inst"
+    inst.write_text("".join(f"E(v{i},v{i + 1})\n" for i in range(1500)))
+    code, out, _ = run(
+        capsys, "solve", "--theory", str(theory), "--instance", str(inst)
+    )
+    assert code == 0
+    assert "verdict: satisfiable" in out

@@ -50,3 +50,16 @@ def test_de_bruijn_windows_cover_all_words(n):
 def test_de_bruijn_rejects_zero_order():
     with pytest.raises(ValueError):
         de_bruijn_binary(0)
+
+
+def test_iter_identifications_filters_partitions_and_names_representatives():
+    from cspsampling.combinatorics import iter_identifications
+
+    patterns = list(iter_identifications("abc", [("a", "b")]))
+    assert len(patterns) == 3  # Bell(3) = 5, minus the two that merge a and b
+    for blocks, rep in patterns:
+        assert rep["a"] != rep["b"]
+        assert all(rep[v] == block[0] for block in blocks for v in block)
+    assert [p[0] for p in iter_identifications("ab", [])] == list(
+        iter_set_partitions("ab")
+    )

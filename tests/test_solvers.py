@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -303,3 +304,57 @@ def test_verdicts_independent_of_sample_order():
             cs.solve_via_sampling(fam, inst).satisfiable
             == cs.solve_via_sampling(swapped, inst).satisfiable
         )
+
+
+def test_hom_search_deep_path_needs_no_recursion():
+    loopy = Structure(EDGE.signature, 2, {"E": {(0, 1), (1, 0), (0, 0)}})
+    path = Instance.of(
+        EDGE.signature, [Rel("E", (f"v{i}", f"v{i + 1}")) for i in range(1500)]
+    )
+    res = cs.hom_search(path, loopy)
+    assert res.satisfiable
+    assert cs.check_witness(path, loopy, res.assignment)
+
+
+def test_arc_consistency_equals_brute_force_gac_on_ternary_atoms():
+    sig = Signature([("T", 3), ("E", 2)])
+    targets = [
+        Structure(sig, 3, {"T": {(0, 0, 1), (0, 1, 2), (1, 2, 2), (2, 0, 0)},
+                           "E": {(0, 1), (1, 2)}}),
+        Structure(sig, 2, {"T": {(0, 0, 1), (1, 0, 0), (1, 1, 1)},
+                           "E": {(0, 1), (1, 1)}}),
+    ]
+    count = 0
+    for inst in helpers.enumerate_instances(sig, ("x", "y", "z"), 3,
+                                            with_equalities=False):
+        for target in targets:
+            state = cs.arc_consistency(inst, target)
+            expected = helpers.brute_force_gac(inst, target)
+            assert (None if state is None else state.domains) == expected, inst.atoms
+            count += 1
+    assert count > 15000
+
+
+def test_establish_23_on_triple_and_wide_atoms():
+    sig = Signature([("T", 3), ("Q", 4)])
+    target = Structure(sig, 2, {
+        "T": {(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)},
+        "Q": {(0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 0)},
+    })
+    pool = ("x", "y", "z", "w")
+    universe = [Rel("T", args) for args in itertools.product(pool, repeat=3)]
+    universe += [Rel("Q", args) for args in itertools.permutations(pool)]
+    count = refuted = 0
+    for r in range(3):
+        for combo in itertools.combinations(universe, r):
+            inst = Instance.of(sig, combo, declared=pool)
+            nu = cs.establish_23_consistency(inst, target)
+            if helpers.brute_force_hom(inst, target) is not None:
+                assert nu, inst.atoms
+            if cs.arc_consistency(inst, target) is None:
+                assert not nu, inst.atoms
+            elif not nu:
+                refuted += 1
+            count += 1
+    assert count > 3000
+    assert refuted > 0  # the pair closure prunes beyond arc consistency
