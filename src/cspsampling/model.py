@@ -5,6 +5,11 @@ cosmetic. Relation tuple sets are deduplicated; all printed or exported
 output uses sorted lexicographic tuple order so results are deterministic.
 All values are immutable after construction and safe to share across
 concurrent solver runs.
+
+Solvers make five queries of a relation: ``projection_mask``,
+``diagonal_mask`` and ``shaped_masks``, read from one cached index built in
+a single pass over its tuples; ``tuples_by_value``, for atoms with three or
+more distinct variables; and tuple membership in ``relations``.
 """
 
 from __future__ import annotations
@@ -15,13 +20,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 class SignatureError(ValueError):
     """A signature invariant was violated (duplicate name, bad arity, mismatch)."""
-
-
-class ShapedPartners(NamedTuple):
-    """Both partner maps of a two-group relation projection, as sets."""
-
-    forward: dict[int, frozenset[int]]
-    backward: dict[int, frozenset[int]]
 
 
 class ShapedMasks(NamedTuple):
@@ -170,23 +168,44 @@ class Structure:
             self._indexes[key] = cached
         return cached
 
-    def projection(self, name: str, position: int) -> frozenset[int]:
-        """All values occurring at one position of a relation."""
-        key = ("proj", name, position)
+    def _index(self, name: str) -> tuple[tuple[int, ...], int, dict]:
+        """Projection masks, diagonal mask and two-valued partner masks.
+
+        A tuple with exactly two distinct values is constant on exactly one
+        pair of position groups, its equality pattern; its partner masks are
+        filed under that pattern, forward from the group holding position 0.
+        Constant tuples fit every shape and are kept only in the diagonal.
+        """
+        key = ("index", name)
         cached = self._indexes.get(key)
         if cached is None:
-            cached = frozenset(t[position] for t in self.relations[name])
+            tuples = self.relations[name]
+            columns = ({t[p] for t in tuples} for p in range(self.signature.arity(name)))
+            projections = tuple(sum(1 << v for v in c) for c in columns)
+            diagonal = 0
+            partners: dict[tuple[bool, ...], tuple[dict[int, int], dict[int, int]]] = {}
+            for t in tuples:
+                values = set(t)
+                if len(values) == 1:
+                    diagonal |= 1 << t[0]
+                elif len(values) == 2:
+                    a = t[0]
+                    pattern = tuple(map(a.__eq__, t))
+                    b = t[pattern.index(False)]
+                    forward, backward = partners.setdefault(pattern, ({}, {}))
+                    forward[a] = forward.get(a, 0) | 1 << b
+                    backward[b] = backward.get(b, 0) | 1 << a
+            cached = (projections, diagonal, partners)
             self._indexes[key] = cached
         return cached
 
-    def diagonal(self, name: str) -> frozenset[int]:
-        """Values v with the constant tuple (v, ..., v) in a relation."""
-        key = ("diag", name)
-        cached = self._indexes.get(key)
-        if cached is None:
-            cached = frozenset(t[0] for t in self.relations[name] if len(set(t)) == 1)
-            self._indexes[key] = cached
-        return cached
+    def projection_mask(self, name: str, position: int) -> int:
+        """Bitmask of the values occurring at one position of a relation."""
+        return self._index(name)[0][position]
+
+    def diagonal_mask(self, name: str) -> int:
+        """Bitmask of the values v with the constant tuple (v, ..., v)."""
+        return self._index(name)[1]
 
     def shaped_masks(
         self,
@@ -200,76 +219,37 @@ class Structure:
         masks in both directions (first-value -> second-values and back),
         plus each direction's values ordered by partner count, which lets
         solvers bound support rechecks by a pigeonhole argument. Lets atoms
-        with two distinct variables propagate like binary ones.
+        with two distinct variables propagate like binary ones. The groups
+        must partition the positions of the relation.
         """
         key = ("shaped-masks", name, first_positions, second_positions)
         cached = self._indexes.get(key)
         if cached is None:
-            forward: dict[int, int] = {}
-            backward: dict[int, int] = {}
-            f0 = first_positions[0]
-            s0 = second_positions[0]
-            f_rest = first_positions[1:]
-            s_rest = second_positions[1:]
-            for t in self.relations[name]:
-                a = t[f0]
-                if any(t[p] != a for p in f_rest):
-                    continue
-                b = t[s0]
-                if any(t[p] != b for p in s_rest):
-                    continue
-                forward[a] = forward.get(a, 0) | 1 << b
-                backward[b] = backward.get(b, 0) | 1 << a
+            arity = self.signature.arity(name)
+            group = first_positions if 0 in first_positions else second_positions
+            pattern = tuple(p in group for p in range(arity))
+            if all(pattern) or sorted(first_positions + second_positions) != list(range(arity)):
+                raise ValueError(
+                    f"{first_positions} and {second_positions} do not partition {name}"
+                )
+            _, diagonal, partners = self._index(name)
+            forward, backward = (dict(m) for m in partners.get(pattern, ({}, {})))
+            if 0 not in first_positions:
+                forward, backward = backward, forward
+            for v in range(self.domain_size):
+                if diagonal >> v & 1:
+                    forward[v] = forward.get(v, 0) | 1 << v
+                    backward[v] = backward.get(v, 0) | 1 << v
             cached = ShapedMasks(
                 forward,
                 backward,
-                _mask(forward),
-                _mask(backward),
+                sum(1 << v for v in forward),
+                sum(1 << v for v in backward),
                 tuple(sorted((m.bit_count(), v) for v, m in forward.items())),
                 tuple(sorted((m.bit_count(), v) for v, m in backward.items())),
             )
             self._indexes[key] = cached
         return cached
-
-    def shaped_partners(
-        self,
-        name: str,
-        first_positions: tuple[int, ...],
-        second_positions: tuple[int, ...],
-    ) -> ShapedPartners:
-        """``shaped_masks`` decoded into partner sets; not cached."""
-        m = self.shaped_masks(name, first_positions, second_positions)
-
-        def decode(mask: int) -> frozenset[int]:
-            return frozenset(e for e in range(self.domain_size) if mask >> e & 1)
-
-        return ShapedPartners(
-            {v: decode(mask) for v, mask in m.forward.items()},
-            {v: decode(mask) for v, mask in m.backward.items()},
-        )
-
-    def projection_mask(self, name: str, position: int) -> int:
-        key = ("proj-mask", name, position)
-        cached = self._indexes.get(key)
-        if cached is None:
-            cached = _mask(self.projection(name, position))
-            self._indexes[key] = cached
-        return cached
-
-    def diagonal_mask(self, name: str) -> int:
-        key = ("diag-mask", name)
-        cached = self._indexes.get(key)
-        if cached is None:
-            cached = _mask(self.diagonal(name))
-            self._indexes[key] = cached
-        return cached
-
-
-def _mask(values: Iterable[int]) -> int:
-    out = 0
-    for v in values:
-        out |= 1 << v
-    return out
 
 
 def disjoint_union(structures: Sequence[Structure]) -> Structure:

@@ -13,7 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from .formulas import Instance, Rel
 from .model import Structure
+from .solvers import hom_search
 
 
 class SearchCapExceeded(ValueError):
@@ -149,9 +151,10 @@ def find_totally_symmetric_polymorphism(
     """Search for a k-ary totally symmetric polymorphism, or None.
 
     A totally symmetric operation is determined by its value on each
-    nonempty support set of size <= k, so the search assigns values to
-    supports with backtracking, pruning on every relation constraint whose
-    supports are all assigned. Exhaustive, hence hard-capped.
+    nonempty support set of size <= k, so this is a homomorphism search:
+    the variables are the supports, and each k-tuple of tuples of a relation
+    gives one atom on the supports of its columns. Exhaustive, hence
+    hard-capped.
     """
     if k < 1:
         raise ValueError("arity must be >= 1")
@@ -167,45 +170,17 @@ def find_totally_symmetric_polymorphism(
         )
     if sum(len(ts) ** k for ts in (s.relations[n] for n, _ in s.signature)) > 2_000_000:
         raise SearchCapExceeded("relation tuple combinations exceed the search cap")
-    index = {sup: i for i, sup in enumerate(supports)}
-
-    constraints: set[tuple[str, tuple[frozenset[int], ...]]] = set()
-    for name, arity in s.signature:
-        tuples = s.sorted_tuples(name)
-        for combo in itertools.product(tuples, repeat=k):
-            cols = tuple(
-                frozenset(combo[i][j] for i in range(k)) for j in range(arity)
-            )
-            constraints.add((name, cols))
-    by_last: dict[int, list[tuple[str, tuple[frozenset[int], ...]]]] = {
-        i: [] for i in range(len(supports))
-    }
-    for name, cols in constraints:
-        by_last[max(index[c] for c in cols)].append((name, cols))
-
-    assignment: dict[frozenset[int], int] = {}
-
-    def assign(i: int) -> bool:
-        if i == len(supports):
-            return True
-        sup = supports[i]
-        for value in range(d):
-            assignment[sup] = value
-            ok = True
-            for name, cols in by_last[i]:
-                image = tuple(assignment[c] for c in cols)
-                if image not in s.relations[name]:
-                    ok = False
-                    break
-            if ok and assign(i + 1):
-                return True
-        del assignment[sup]
-        return False
-
-    if not assign(0):
+    names = {sup: f"s{i}" for i, sup in enumerate(supports)}
+    atoms = dict.fromkeys(
+        Rel(name, (names[frozenset(column)] for column in zip(*combo)))
+        for name, _ in s.signature
+        for combo in itertools.product(s.sorted_tuples(name), repeat=k)
+    )
+    result = hom_search(Instance.of(s.signature, atoms, names.values()), s)
+    if not result.satisfiable:
         return None
     table = {
-        args: assignment[frozenset(args)]
+        args: result.assignment[names[frozenset(args)]]
         for args in itertools.product(range(d), repeat=k)
     }
     return OperationTable(d, k, table)

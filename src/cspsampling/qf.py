@@ -31,6 +31,10 @@ class DefinitionError(ValueError):
     """Raised for malformed definitions or references outside the base."""
 
 
+# candidate tuples one evaluation may enumerate; above 128**3 = 2,097,152
+_MAX_CANDIDATES = 4_000_000
+
+
 @dataclass(frozen=True)
 class RelAtom:
     symbol: str
@@ -127,8 +131,14 @@ def _atoms(defn: QFDef) -> Iterable[QFDef]:
 
 
 def evaluate_definition(defn: QFDef, base: Structure, k: int) -> set[tuple[int, ...]]:
-    """All k-tuples over the base domain satisfying the definition."""
+    """All k-tuples over the base domain satisfying the definition; more
+    than ``_MAX_CANDIDATES`` candidates raise DefinitionError up front."""
     check_definition(defn, base, k)
+    if base.domain_size**k > _MAX_CANDIDATES:
+        raise DefinitionError(
+            f"{base.domain_size}**{k} candidate tuples exceed the evaluation "
+            f"budget of {_MAX_CANDIDATES:,}"
+        )
     relations = base.relations
 
     def rel_test(symbol: str, vals: tuple[int, ...]) -> bool:

@@ -1,5 +1,8 @@
 import json
-
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import cspsampling as cs
 from cspsampling import io
@@ -189,3 +192,24 @@ def test_solve_deep_path_instance(tmp_path, capsys):
     )
     assert code == 0
     assert "verdict: satisfiable" in out
+
+
+def test_solve_over_the_qf_budget_exits_2(tmp_path):
+    # ``min3/83`` asks for |D|**83 candidate tuples; without the budget the
+    # process would fill memory, so it runs capped and under a timeout
+    theory = tmp_path / "typo.theory"
+    theory.write_text(open(THEORY).read().replace("rel min3/3", "rel min3/83"))
+    inst = tmp_path / "plan.inst"
+    inst.write_text("lt(x,y); lt(y,z); p0(x); p1(z)\n")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cspsampling.cli", "solve",
+         "--theory", str(theory), "--instance", str(inst)],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env={"PYTHONPATH": str(Path(cs.__file__).parents[1])},
+    )
+    assert proc.returncode == 2
+    assert "budget" in proc.stderr

@@ -1,3 +1,5 @@
+import itertools
+import random
 
 import pytest
 
@@ -177,14 +179,83 @@ def test_indexes_are_consistent_with_relations():
     s = Structure(
         Signature([("R", 3)]), 3, {"R": {(0, 1, 2), (1, 1, 2), (2, 2, 2)}}
     )
-    assert s.projection("R", 0) == {0, 1, 2}
-    assert s.diagonal("R") == {2}
-    shaped = s.shaped_partners("R", (0, 1), (2,))
-    assert shaped.forward == {1: frozenset({2}), 2: frozenset({2})}
+    assert s.projection_mask("R", 0) == 0b111
+    assert s.diagonal_mask("R") == 1 << 2
     assert set(s.tuples_by_value("R", 1)[1]) == {(0, 1, 2), (1, 1, 2)}
     masks = s.shaped_masks("R", (0, 1), (2,))
     assert masks.forward == {1: 1 << 2, 2: 1 << 2}
     assert masks.forward_keys == (1 << 1) | (1 << 2)
+
+
+def _scan_shape(tuples, first, second):
+    """Partner sets of the tuples constant on each group, by a plain scan."""
+    forward, backward = {}, {}
+    for t in tuples:
+        left = {t[p] for p in first}
+        right = {t[p] for p in second}
+        if len(left) == 1 and len(right) == 1:
+            (a,), (b,) = left, right
+            forward.setdefault(a, set()).add(b)
+            backward.setdefault(b, set()).add(a)
+    return forward, backward
+
+
+def _random_tuple(rng, domain, arity):
+    kind = rng.randrange(3)
+    if kind == 0:  # constant
+        return (rng.randrange(domain),) * arity
+    if kind == 1:  # at most two distinct values
+        pair = (rng.randrange(domain), rng.randrange(domain))
+        return tuple(rng.choice(pair) for _ in range(arity))
+    return tuple(rng.randrange(domain) for _ in range(arity))
+
+
+def test_indexes_match_a_brute_force_scan():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        domain = rng.randint(1, 5)
+        arity = rng.randint(1, 4)
+        tuples = {_random_tuple(rng, domain, arity) for _ in range(rng.randint(0, 12))}
+        s = Structure(Signature([("R", arity)]), domain, {"R": tuples})
+
+        def bits(mask):
+            return {e for e in range(domain) if mask >> e & 1}
+
+        for p in range(arity):
+            assert bits(s.projection_mask("R", p)) == {t[p] for t in tuples}
+        assert bits(s.diagonal_mask("R")) == {t[0] for t in tuples if len(set(t)) == 1}
+        # every ordered two-group partition, so also first groups without 0
+        for sides in itertools.product((0, 1), repeat=arity):
+            first = tuple(p for p in range(arity) if sides[p] == 0)
+            second = tuple(p for p in range(arity) if sides[p] == 1)
+            if not first or not second:
+                continue
+            forward, backward = _scan_shape(tuples, first, second)
+            masks = s.shaped_masks("R", first, second)
+            assert {v: bits(m) for v, m in masks.forward.items()} == forward
+            assert {v: bits(m) for v, m in masks.backward.items()} == backward
+            assert bits(masks.forward_keys) == set(forward)
+            assert bits(masks.backward_keys) == set(backward)
+            assert masks.forward_by_size == tuple(
+                sorted((len(ps), v) for v, ps in forward.items())
+            )
+            assert masks.backward_by_size == tuple(
+                sorted((len(ps), v) for v, ps in backward.items())
+            )
+
+
+def test_shaped_masks_need_a_partition_into_two_groups():
+    s = Structure(Signature([("R", 3)]), 2, {"R": {(0, 1, 1), (1, 1, 1)}})
+    for first, second in [
+        ((0, 1, 2), ()),
+        ((), (0, 1, 2)),
+        ((0,), (1,)),
+        ((0, 1), (1, 2)),
+        ((0,), (1, 3)),
+        ((0, 1), (2, 2)),
+    ]:
+        with pytest.raises(ValueError):
+            s.shaped_masks("R", first, second)
 
 
 def test_structure_equality_and_labels():

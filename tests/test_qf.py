@@ -113,3 +113,19 @@ def test_definition_validation_errors():
         qf.evaluate_definition(qf.parse_definition("x1 < x3"), CHAIN3, 2)
     with pytest.raises(qf.DefinitionError):
         qf.evaluate_definition(qf.RelAtom("<", (1,)), CHAIN3, 1)
+
+
+def test_evaluation_budget_is_checked_before_enumerating(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("a candidate tuple was evaluated")
+
+    two = Structure(Signature([("<", 2)]), 2, {"<": {(0, 1)}})
+    defn = qf.parse_definition("x1 = x2")
+    k = qf._MAX_CANDIDATES.bit_length()  # smallest k with 2**k over the budget
+    monkeypatch.setattr(qf, "holds", enumerated)
+    with pytest.raises(qf.DefinitionError, match="budget"):
+        qf.evaluate_definition(defn, two, k)
+    monkeypatch.undo()
+    # the budget counts candidates, not variables: one element, 83 variables
+    one = Structure(Signature([("<", 2)]), 1, {})
+    assert qf.evaluate_definition(defn, one, 83) == {(0,) * 83}
