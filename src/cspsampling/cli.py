@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import io
 from .formulas import contract_equalities
+from .qf import _MAX_CANDIDATES
 from .polymorphisms import (
     OperationTable,
     check_polymorphism,
@@ -158,12 +159,21 @@ def _cmd_sample(args) -> int:
 
 
 def _builtin_operation(spec: str, domain_size: int) -> Optional[OperationTable]:
-    if spec == "majority_eq":
+    m = re.fullmatch(r"majority_eq|min(\d+)", spec)
+    if not m:
+        return None
+    arity = 3 if m.group(1) is None else int(m.group(1))
+    # with 2**arity over the budget the huge power is never taken
+    if domain_size > 1 and (
+        arity > _MAX_CANDIDATES.bit_length() or domain_size**arity > _MAX_CANDIDATES
+    ):
+        raise ValueError(
+            f"{spec} on {domain_size} elements needs {domain_size}**{arity} table "
+            f"entries, over the budget of {_MAX_CANDIDATES:,}"
+        )
+    if m.group(1) is None:
         return majority_eq_operation(domain_size)
-    m = re.fullmatch(r"min(\d+)", spec)
-    if m:
-        return min_operation(domain_size, int(m.group(1)))
-    return None
+    return min_operation(domain_size, arity)
 
 
 def _cmd_checkpoly(args) -> int:

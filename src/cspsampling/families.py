@@ -15,7 +15,7 @@ from . import qf
 from .combinatorics import de_bruijn_binary, iter_identifications
 from .formulas import Instance, Neq, Rel, contract_equalities
 from .model import Signature, Structure, disjoint_union
-from .sampling import SampleFamily, SamplingError
+from .sampling import SampleFamily, SamplingError, _check_elements
 
 ExpansionDef = tuple[str, int, "qf.QFDef | str"]
 
@@ -137,6 +137,7 @@ def colored_partition_sampling(
     """
     if m < 1:
         raise SamplingError("a partition needs at least one part")
+    _check_elements(m, f"a partition into {m:,} parts")
     part_names = [qf.part_symbol(j) for j in range(1, m + 1)]
     if expansion is None:
         expansion = [(p, 1, qf.RelAtom(p, (1,))) for p in part_names]
@@ -145,6 +146,7 @@ def colored_partition_sampling(
     base_signature = Signature([(p, 1) for p in part_names])
 
     def builder(n: int) -> Sequence[Structure]:
+        _check_elements(n * m, f"the partition sample at n={n}")
         # element id i*m + (j-1) is the i-th point of part j
         base = Structure(
             base_signature,
@@ -342,6 +344,7 @@ def succ2col_sampling(name: str = "succ-2col") -> SampleFamily:
     signature = Signature([(SUCC, 2), (P0, 1), (P1, 1)])
 
     def builder(n: int) -> Sequence[Structure]:
+        _check_elements(1 << n, f"the succ2col sample at n={n}")
         seq = de_bruijn_binary(n)
         size = len(seq)
         return [

@@ -37,6 +37,8 @@ from .model import Signature, Structure
 from .polymorphisms import OperationTable
 from .sampling import (
     SampleFamily,
+    SamplingError,
+    _check_elements,
     equality_expansion,
     explicit_sampling,
     product_sampling,
@@ -54,6 +56,13 @@ class ParseError(ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def _check_domain(domain_size: int, line: int) -> None:
+    try:
+        _check_elements(domain_size, "an explicit domain")
+    except SamplingError as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def _strip_comment(line: str) -> str:
@@ -142,6 +151,7 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
             if not m:
                 raise ParseError("expected 'domain <k>'", no)
             domain_size = int(m.group(1))
+            _check_domain(domain_size, no)
         elif line.startswith("label"):
             m = re.fullmatch(r"label\s+(\d+)\s+(.*)", line)
             if not m:
@@ -272,11 +282,11 @@ def parse_operation_table(text: str) -> OperationTable:
     values = []
     for line in lines[1:]:
         values.extend(int(v) for v in line.split())
-    args_in_order = list(itertools.product(range(domain_size), repeat=arity))
-    if len(values) != len(args_in_order):
-        raise ParseError(
-            f"expected {len(args_in_order)} values, found {len(values)}"
-        )
+    # with 2**arity over the count the table cannot fit; skip the huge power
+    too_many_args = domain_size > 1 and arity > len(values).bit_length()
+    if too_many_args or len(values) != domain_size**arity:
+        raise ParseError(f"expected {domain_size}**{arity} values, found {len(values)}")
+    args_in_order = itertools.product(range(domain_size), repeat=arity)
     return OperationTable(domain_size, arity, dict(zip(args_in_order, values)))
 
 
@@ -539,6 +549,7 @@ def _parse_explicit(toks: _TokenStream, name: str) -> SampleFamily:
             inner = toks.expect_kind("ident")
             if inner.value == "domain":
                 domain_size = int(toks.expect_kind("int").value)
+                _check_domain(domain_size, inner.line)
                 toks.expect(";")
             elif inner.value == "rel":
                 sym = toks.expect_kind("ident").value

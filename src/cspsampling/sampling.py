@@ -18,6 +18,7 @@ collapsing them into one disjoint union can destroy equality matching.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -27,6 +28,9 @@ from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equal
 from .model import Signature, Structure
 
 Decider = Callable[[Instance], bool]
+
+_MAX_ELEMENTS = 1_000_000  # in one sample
+_MAX_PRODUCT_TUPLES = 8_000_000  # in all samples of one product level
 
 
 class SamplingError(ValueError):
@@ -61,6 +65,15 @@ class SampleFamily:
 
     def size(self, n: int) -> int:
         return family_size(self, n)
+
+
+def _check_elements(count: int, what: str) -> None:
+    """Refuse a structure of more than ``_MAX_ELEMENTS`` elements."""
+    if count > _MAX_ELEMENTS:
+        raise SamplingError(
+            f"{what} would have {count:,} elements, over the element budget "
+            f"of {_MAX_ELEMENTS:,}"
+        )
 
 
 def family_size(family: SampleFamily, n: int) -> int:
@@ -180,7 +193,10 @@ def product_sampling(s1: SampleFamily, s2: SampleFamily) -> SampleFamily:
     first signature iff its first-coordinate equality pattern equals its
     second-coordinate equality pattern and the first-coordinate projection
     is in the factor relation; symmetrically for the second signature.
-    The total size at n is the product of the factor sizes at n.
+    The total size at n is the product of the factor sizes at n. A level
+    with a sample over ``_MAX_ELEMENTS`` elements, or whose samples would
+    hold more than ``_MAX_PRODUCT_TUPLES`` tuples in all, raises
+    SamplingError before any of them is built.
     """
     for s in (s1, s2):
         if not s.equality_matching:
@@ -191,11 +207,26 @@ def product_sampling(s1: SampleFamily, s2: SampleFamily) -> SampleFamily:
     first_names = set(s1.signature.names())
 
     def builder(n: int) -> Sequence[Structure]:
-        return [
-            _product_structure(b1, b2, signature, first_names)
-            for b1 in s1.generate(n)
-            for b2 in s2.generate(n)
-        ]
+        pairs = list(itertools.product(s1.generate(n), s2.generate(n)))
+        _check_elements(
+            max((b1.domain_size * b2.domain_size for b1, b2 in pairs), default=0),
+            f"a sample of {s1.name}*{s2.name} at n={n}",
+        )
+        # a factor tuple with k distinct values pairs with perm(other size, k)
+        # tuples of the other factor
+        tuples = sum(
+            math.perm(other.domain_size, len(set(t)))
+            for b1, b2 in pairs
+            for own, other in ((b1, b2), (b2, b1))
+            for rel in own.relations.values()
+            for t in rel
+        )
+        if tuples > _MAX_PRODUCT_TUPLES:
+            raise SamplingError(
+                f"{s1.name}*{s2.name} at n={n} would hold {tuples:,} tuples, over "
+                f"the product budget of {_MAX_PRODUCT_TUPLES:,}"
+            )
+        return [_product_structure(b1, b2, signature, first_names) for b1, b2 in pairs]
 
     decider = None
     if s1.decider is not None and s2.decider is not None:

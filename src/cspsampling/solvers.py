@@ -12,11 +12,11 @@ the target is bit 1 << k). Seeding narrows each variable's candidates to
 the per-position projections of its atoms, or to the diagonal for atoms on
 one variable. Atoms with two distinct variables become a pair of arcs over
 the target's shaped partner masks; wider atoms are revised by scanning the
-tuple bucket of one anchor value. ``hom_search`` runs the arc fixpoint once
-and then searches, forward-checking wide atoms; ``arc_consistency`` adds
-wide revision up to the generalized arc-consistency (GAC) fixpoint; and
-``establish_23_consistency`` seeds its pair relations, kept as rows of
-bitmasks, from that fixpoint.
+tuple bucket of one anchor value, up to the generalized arc-consistency
+(GAC) fixpoint. That fixpoint is the one root of all three procedures:
+``arc_consistency`` is the root alone, ``hom_search`` searches from it,
+forward-checking wide atoms, and ``establish_23_consistency`` seeds its pair
+relations, kept as rows of bitmasks, from it.
 
 Per-sample runs are independent: solver calls own their mutable state and
 inputs are shared read-only, so many solves may run concurrently over one
@@ -184,8 +184,10 @@ def _supporting(
 
 def _gac_fixpoint(
     target: Structure, variables: Sequence[str], atoms: Sequence[Rel]
-) -> Optional[tuple[dict[str, int], list[tuple], dict[str, list[Rel]]]]:
-    """Masks at the GAC fixpoint with the arcs and wide atoms, or None.
+) -> Optional[
+    tuple[dict[str, int], list[tuple], dict[str, list[int]], dict[str, list[Rel]]]
+]:
+    """Masks at the GAC fixpoint with the arc table of ``_arc_table``, or None.
 
     Arcs run to their fixpoint, then a sweep over the wide atoms drops each
     value that no tuple within the masks supports, until a sweep drops
@@ -211,7 +213,7 @@ def _gac_fixpoint(
                         cand[u] ^= 1 << value
                         narrowed[u] = None
         if not narrowed:
-            return cand, arcs, atoms_of
+            return cand, arcs, arcs_watching, atoms_of
         queue = deque(dict.fromkeys(i for u in narrowed for i in arcs_watching[u]))
     return None
 
@@ -230,11 +232,11 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     Equalities are contracted away first; disequalities are enforced as
     value disequality on the assignment. Search assigns the variable with
     the smallest candidate set first (ties by name), values in ascending
-    order. Candidate masks are seeded and narrowed by the arc fixpoint of
-    the shared engine; during search, wider atoms are forward-checked
-    through their anchor buckets, and two-variable atoms are enforced
-    exactly whenever either side collapses to a single value. The search
-    keeps its own stack, so instance depth is not bounded by recursion.
+    order. The search starts from the GAC fixpoint of the shared engine;
+    during search, wider atoms are forward-checked through their anchor
+    buckets, and two-variable atoms are enforced exactly whenever either
+    side collapses to a single value. The search keeps its own stack, so
+    instance depth is not bounded by recursion.
     """
     validate(inst)
     if inst.has_bot():
@@ -247,11 +249,11 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
         return SolveResult(True, {}, None)
 
     atoms = [a for a in contracted.atoms if isinstance(a, Rel)]
-    neqs = [a for a in contracted.atoms if isinstance(a, Neq)]
-    cand = _seed(target, variables, atoms)
-    if not all(cand.values()):
+    fixpoint = _gac_fixpoint(target, variables, atoms)
+    if fixpoint is None:
         return SolveResult(False)
-    arcs, arcs_watching, atoms_of = _arc_table(target, variables, atoms)
+    cand, arcs, arcs_watching, atoms_of = fixpoint
+    neqs = [a for a in contracted.atoms if isinstance(a, Neq)]
     neq_neighbors: dict[str, list[str]] = {v: [] for v in variables}
     for a in neqs:
         neq_neighbors[a.left].append(a.right)
@@ -302,11 +304,6 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
         return _run_arcs(
             arcs, arcs_watching, cand, queue, set(queue), trail, domain_size, False
         )
-
-    # initial fixpoint narrows every window before the search starts
-    queue = deque(range(len(arcs)))
-    if not _run_arcs(arcs, arcs_watching, cand, queue, set(queue), [], domain_size, True):
-        return SolveResult(False)
 
     # depth-first search; a frame is (variable, its mask on entry, the values
     # not yet tried, the trail of the value being tried)
@@ -412,7 +409,7 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
     fixpoint = _gac_fixpoint(target, variables, atoms)
     if fixpoint is None:
         return False
-    cand, arcs, atoms_of = fixpoint
+    cand, arcs, _, atoms_of = fixpoint
     # rel[(u, w)][a] is the mask of w-values still paired with u = a
     rel = {
         (u, w): dict.fromkeys(_bits(cand[u]), cand[w])

@@ -213,3 +213,56 @@ def test_solve_over_the_qf_budget_exits_2(tmp_path):
     )
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+def run_capped(*argv):
+    """The CLI in a subprocess under a 1 GiB address-space cap and a timeout."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cspsampling.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env={"PYTHONPATH": str(Path(cs.__file__).parents[1])},
+    )
+
+
+def test_solve_over_the_product_budget_exits_2(tmp_path):
+    # level 100 of the robot product would hold 591,070,000 tuples
+    inst = tmp_path / "chain.inst"
+    inst.write_text("".join(f"lt(v{i},v{i + 1})\n" for i in range(99)))
+    proc = run_capped("solve", "--theory", THEORY, "--instance", str(inst))
+    assert proc.returncode == 2
+    assert "budget" in proc.stderr and "591,070,000" in proc.stderr
+
+
+def test_explicit_domains_over_the_budget_exit_2(tmp_path):
+    theory = tmp_path / "huge.theory"
+    theory.write_text(
+        "theory H = explicit { sig E/2; sample { domain 40000000000; rel E: (0,1); } }\n"
+    )
+    inst = tmp_path / "edge.inst"
+    inst.write_text("E(x,y)\n")
+    structure = tmp_path / "huge.txt"
+    structure.write_text("structure s over E/2\ndomain 40000000000\nrel E: (0,1)\n")
+    for argv in (
+        ("solve", "--theory", str(theory), "--instance", str(inst)),
+        ("checkpoly", "--structure", str(structure), "--op", "min2"),
+    ):
+        proc = run_capped(*argv)
+        assert proc.returncode == 2, argv
+        assert "budget" in proc.stderr
+
+
+def test_checkpoly_builtin_operation_budget_exits_2(tmp_path):
+    structure = tmp_path / "two.txt"
+    structure.write_text("structure s over E/2\ndomain 2\nrel E: (0,1)\n")
+    for op in ("min40", "min99999999999"):
+        proc = run_capped("checkpoly", "--structure", str(structure), "--op", op)
+        assert proc.returncode == 2, op
+        assert "budget" in proc.stderr
+    big = tmp_path / "big.txt"
+    big.write_text("structure s over E/2\ndomain 200\nrel E: (0,1)\n")
+    proc = run_capped("checkpoly", "--structure", str(big), "--op", "majority_eq")
+    assert proc.returncode == 2 and "budget" in proc.stderr

@@ -217,3 +217,12 @@ def test_expansion_definition_errors_propagate():
         cs.colored_partition_sampling(2, [("bad", 1, "x1 < x1")])
     with pytest.raises(cs.DefinitionError):
         cs.dense_order_sampling([("bad", 1, "x1 < x2")])
+
+
+def test_partition_and_succ2col_samples_have_an_element_budget():
+    with pytest.raises(cs.SamplingError, match="budget"):
+        cs.colored_partition_sampling(40_000_000_000)
+    with pytest.raises(cs.SamplingError, match="1,000,002 elements.*budget"):
+        cs.colored_partition_sampling(2).generate(500_001)
+    with pytest.raises(cs.SamplingError, match="1,048,576 elements.*budget"):
+        cs.succ2col_sampling().generate(20)

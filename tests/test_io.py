@@ -151,3 +151,29 @@ def test_parse_print_parse_identity_on_samples(robot_theory):
         text = io.print_structure(s)
         _, parsed = io.parse_structure(text)
         assert parsed == s
+
+
+def test_explicit_domains_have_a_budget():
+    with pytest.raises(io.ParseError, match="budget"):
+        io.parse_structure(
+            "structure s over E/2\ndomain 40000000000\nlabel 0 a\nrel E: (0,1)\n"
+        )
+    with pytest.raises(io.ParseError, match="budget"):
+        io.parse_theory_spec(
+            "theory T = explicit { sig E/2; "
+            "sample { domain 40000000000; rel E: (0,1); } }"
+        )
+    limit = cs.sampling._MAX_ELEMENTS
+    _, s = io.parse_structure(f"structure s over E/2\ndomain {limit}\nrel E:\n")
+    assert s.domain_size == limit
+
+
+def test_operation_table_count_is_checked_before_enumerating(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("argument tuples were enumerated")
+
+    monkeypatch.setattr(io, "itertools", type("stub", (), {"product": enumerated}))
+    with pytest.raises(io.ParseError, match=r"100\*\*6 values, found 1"):
+        io.parse_operation_table("optable domain 100 arity 6\n0\n")
+    with pytest.raises(io.ParseError, match="found 1"):
+        io.parse_operation_table("optable domain 2 arity 99999999999\n0\n")

@@ -212,3 +212,40 @@ def test_product_decider_splits_by_identification_pattern(robot_theory):
         [Rel("min3", ("x", "y", "z")), Neq("x", "y"), Neq("x", "z")],
     )
     assert not robot_theory.decider(nonconvex)
+
+
+def test_product_budget_is_checked_before_materializing(monkeypatch):
+    import conftest as helpers
+    import cspsampling.sampling as sampling
+
+    def materialized(*args):
+        raise AssertionError("a product sample was built")
+
+    def robot():
+        return cs.product_sampling(helpers.order_family(), helpers.colors_family())
+
+    held = sum(len(r) for s in robot().generate(8) for r in s.relations.values())
+    monkeypatch.setattr(sampling, "_MAX_PRODUCT_TUPLES", held)
+    assert robot().generate(8)  # the count is exact: a budget of it suffices
+    monkeypatch.setattr(sampling, "_MAX_PRODUCT_TUPLES", held - 1)
+    monkeypatch.setattr(sampling, "_product_structure", materialized)
+    with pytest.raises(cs.SamplingError, match=f"{held:,} tuples"):
+        robot().generate(8)
+    monkeypatch.undo()
+    monkeypatch.setattr(sampling, "_product_structure", materialized)
+    with pytest.raises(cs.SamplingError, match="30,871,296 tuples.*budget"):
+        robot().generate(48)
+
+
+def test_product_samples_have_an_element_budget():
+    sig1, sig2 = Signature([("U", 1)]), Signature([("V", 1)])
+
+    def points(sig, size):
+        return explicit_sampling(
+            sig, [Structure(sig, size, {})],
+            equality_matching=True, no_pp_algebraicity=True,
+        )
+
+    assert cs.product_sampling(points(sig1, 1000), points(sig2, 1000)).generate(1)
+    with pytest.raises(cs.SamplingError, match="1,001,000 elements.*budget"):
+        cs.product_sampling(points(sig1, 1001), points(sig2, 1000)).generate(1)

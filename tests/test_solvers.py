@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -358,3 +359,55 @@ def test_establish_23_on_triple_and_wide_atoms():
             count += 1
     assert count > 3000
     assert refuted > 0  # the pair closure prunes beyond arc consistency
+
+
+class _Thrashed(Exception):
+    pass
+
+
+def _deep_unsat_robot_instance(sig, rng, n):
+    """Atoms true under a random plan of ranks and robots, plus the
+    contradiction min3(w,x,y) & lt(x,w): min(x,y) <= x < w."""
+    vs = [f"v{i}" for i in range(n)]
+    rank = {v: rng.randint(1, n) for v in vs}
+    robot_of_rank: dict[int, str] = {}
+    part = {v: robot_of_rank.setdefault(rank[v], rng.choice(("p0", "p1"))) for v in vs}
+    atoms = []
+    for _ in range(n):
+        a, b, c = rng.choice(vs), rng.choice(vs), rng.choice(vs)
+        roll = rng.random()
+        if roll < 0.35 and rank[a] != rank[b]:
+            atoms.append(Rel("lt", (a, b) if rank[a] < rank[b] else (b, a)))
+        elif roll < 0.6:
+            atoms.append(Rel("min3", (b if rank[b] <= rank[c] else c, b, c)))
+        else:
+            atoms.append(Rel(part[a], (a,)))
+    w, x, y = rng.sample(vs, 3)
+    atoms += [Rel("min3", (w, x, y)), Rel("lt", (x, w))]
+    return Instance.of(sig, atoms, declared=vs)
+
+
+def test_hom_search_refutes_a_contradiction_inside_a_wide_atom(robot_theory):
+    # search that starts from a root blind to the min3 atom thrashes on these
+    def thrashed(signum, frame):
+        raise _Thrashed
+
+    rng = random.Random(5)
+    cases = [
+        _deep_unsat_robot_instance(robot_theory.signature, rng, (5, 6, 7)[i % 3])
+        for i in range(30)
+    ]
+    for n in (5, 6, 7):
+        robot_theory.generate(n)  # build the levels outside the alarm
+    previous = signal.signal(signal.SIGALRM, thrashed)
+    try:
+        for inst in cases:
+            signal.setitimer(signal.ITIMER_REAL, 2.0)
+            try:
+                assert not cs.solve_via_sampling(robot_theory, inst).satisfiable
+            except _Thrashed:
+                pytest.fail(f"no verdict within 2 s on {inst.atoms}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
