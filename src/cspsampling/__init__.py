@@ -50,6 +50,7 @@ from .polymorphisms import (
 )
 from .qf import DefinitionError, evaluate_definition, parse_definition
 from .sampling import (
+    ProductStructure,
     SampleFamily,
     SamplingError,
     VerificationReport,
@@ -84,6 +85,7 @@ __all__ = [
     "InstanceError",
     "Neq",
     "OperationTable",
+    "ProductStructure",
     "Rel",
     "SampleFamily",
     "SamplingError",

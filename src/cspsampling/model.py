@@ -7,9 +7,13 @@ All values are immutable after construction and safe to share across
 concurrent solver runs.
 
 Solvers make five queries of a relation: ``projection_mask``,
-``diagonal_mask`` and ``shaped_masks``, read from one cached index built in
-a single pass over its tuples; ``tuples_by_value``, for atoms with three or
-more distinct variables; and tuple membership in ``relations``.
+``diagonal_mask`` and ``shaped_masks``, read from one cached index per
+relation; ``supporting``, the tuples through one value that support an atom
+with three or more distinct variables; and tuple membership in
+``relations``. Two kinds of structure answer them. A ``Structure`` holds its
+tuple sets and builds the index in a single pass over them; a product sample
+(``sampling.ProductStructure``) keeps its two factors and answers every
+query from them, building a tuple only when a caller iterates a relation.
 """
 
 from __future__ import annotations
@@ -154,7 +158,37 @@ class Structure:
             return self.labels[element]
         return str(element)
 
-    # --- solver-facing caches -------------------------------------------
+    # --- solver-facing queries and caches --------------------------------
+
+    def supporting(
+        self,
+        name: str,
+        args: tuple[str, ...],
+        position: int,
+        value: int,
+        masks: Mapping[str, int],
+    ) -> Iterator[dict[str, int]]:
+        """The tuples with ``value`` at ``position`` that support an atom.
+
+        An atom ``name(args)`` is supported by a tuple when every variable
+        takes one value across its positions, and that value lies in the
+        variable's mask if ``masks`` has one. Each supporting tuple yields its
+        variable -> value map; the scan reads one bucket of
+        ``tuples_by_value``.
+        """
+        for t in self.tuples_by_value(name, position).get(value, ()):
+            values: dict[str, int] = {}
+            for x, val in zip(args, t):
+                known = values.get(x)
+                if known is None:
+                    mask = masks.get(x)
+                    if mask is not None and not mask >> val & 1:
+                        break
+                    values[x] = val
+                elif known != val:
+                    break
+            else:
+                yield values
 
     def tuples_by_value(self, name: str, position: int) -> dict[int, tuple]:
         """Tuples of a relation grouped by the value at one position."""
@@ -250,6 +284,14 @@ class Structure:
             )
             self._indexes[key] = cached
         return cached
+
+
+def mask_bits(mask: int) -> Iterator[int]:
+    """Set bit positions of a mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def disjoint_union(structures: Sequence[Structure]) -> Structure:

@@ -13,19 +13,25 @@ are decided syntactically, so the index never matters for them.
 
 Samples inside one generate(n) result are kept as separate structures;
 collapsing them into one disjoint union can destroy equality matching.
+
+Product samples are ``ProductStructure`` values: each relation stays the
+test on its factors that defines it, and the solver queries are answered
+from the factors' own indexes, so a product level costs its factor tuples
+plus O(|D|) big-integer mask operations, not its |D|^k tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Set
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import qf
 from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
-from .model import Signature, Structure
+from .model import Signature, Structure, mask_bits
 
 Decider = Callable[[Instance], bool]
 
@@ -193,10 +199,12 @@ def product_sampling(s1: SampleFamily, s2: SampleFamily) -> SampleFamily:
     first signature iff its first-coordinate equality pattern equals its
     second-coordinate equality pattern and the first-coordinate projection
     is in the factor relation; symmetrically for the second signature.
-    The total size at n is the product of the factor sizes at n. A level
-    with a sample over ``_MAX_ELEMENTS`` elements, or whose samples would
-    hold more than ``_MAX_PRODUCT_TUPLES`` tuples in all, raises
-    SamplingError before any of them is built.
+    The total size at n is the product of the factor sizes at n. Samples
+    are ``ProductStructure`` values that keep this definition as a test and
+    list no tuple unless a caller iterates a relation. A level with a
+    sample over ``_MAX_ELEMENTS`` elements, or whose samples would hold more
+    than ``_MAX_PRODUCT_TUPLES`` tuples in all, raises SamplingError before
+    any of them is built.
     """
     for s in (s1, s2):
         if not s.equality_matching:
@@ -212,14 +220,11 @@ def product_sampling(s1: SampleFamily, s2: SampleFamily) -> SampleFamily:
             max((b1.domain_size * b2.domain_size for b1, b2 in pairs), default=0),
             f"a sample of {s1.name}*{s2.name} at n={n}",
         )
-        # a factor tuple with k distinct values pairs with perm(other size, k)
-        # tuples of the other factor
         tuples = sum(
-            math.perm(other.domain_size, len(set(t)))
+            _product_count(rel, other.domain_size)
             for b1, b2 in pairs
             for own, other in ((b1, b2), (b2, b1))
             for rel in own.relations.values()
-            for t in rel
         )
         if tuples > _MAX_PRODUCT_TUPLES:
             raise SamplingError(
@@ -241,53 +246,210 @@ def product_sampling(s1: SampleFamily, s2: SampleFamily) -> SampleFamily:
     )
 
 
-def _product_structure(
-    b1: Structure, b2: Structure, signature: Signature, first_names: set[str]
-) -> Structure:
-    """One product sample; pair (a, b) gets element id a * |B2| + b.
+def _product_count(tuples: Iterable[tuple[int, ...]], other_size: int) -> int:
+    """Product tuples given by factor tuples: one with k distinct values pairs
+    with perm(other_size, k) tuples of the other factor."""
+    return sum(math.perm(other_size, len(set(t))) for t in tuples)
 
-    Relations are materialized by iterating over each factor-relation tuple,
-    computing its coordinate equality pattern, and enumerating all
-    other-factor tuples with the identical pattern (injective on distinct
-    positions), which avoids scanning all |B1 x B2|^k candidate tuples.
+
+class _ProductRelation(Set):
+    """One relation of a product sample, kept as a test on its owning factor.
+
+    An element of the product has an own coordinate o in the factor that
+    owns the relation and another coordinate y in the other factor; its id
+    is ``o * own_scale + y * other_scale``. A tuple is in the relation when
+    its own-coordinate projection is in the factor relation and both
+    coordinates have one equality pattern. Membership and ``len`` build no
+    tuple; iterating generates them, one factor tuple at a time.
     """
-    size2 = b2.domain_size
-    domain = b1.domain_size * size2
-    labels = None
-    if b1.labels is not None or b2.labels is not None:
-        labels = [
-            f"({b1.label(a)},{b2.label(b)})"
-            for a in range(b1.domain_size)
-            for b in range(size2)
-        ]
-    relations: dict[str, set[tuple[int, ...]]] = {}
-    for name, arity in signature:
-        own_first = name in first_names
-        outer = b1 if own_first else b2
-        inner = b2 if own_first else b1
+
+    def __init__(
+        self, factor: Structure, name: str, own_scale: int, other_scale: int, other_size: int
+    ):
+        self.factor = factor
+        self.name = name
+        self.arity = factor.signature.arity(name)
+        self.own_scale = own_scale
+        self.other_scale = other_scale
+        self.other_size = other_size
+        self.domain_size = factor.domain_size * other_size
+        # the elements with own coordinate 0, and those with other coordinate 0
+        self.row = sum(1 << y * other_scale for y in range(other_size))
+        self.column = sum(1 << o * own_scale for o in range(factor.domain_size))
+        self._len: Optional[int] = None
+
+    def __contains__(self, t: object) -> bool:
+        if len(t) != self.arity:
+            return False
+        own, other = [], []
+        for e in t:
+            if not 0 <= e < self.domain_size:
+                return False
+            own.append(e // self.own_scale % self.factor.domain_size)
+            other.append(e // self.other_scale % self.other_size)
+        return (
+            len(set(own)) == len(set(other)) == len(set(t))
+            and tuple(own) in self.factor.relations[self.name]
+        )
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = _product_count(self.factor.relations[self.name], self.other_size)
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        positions = range(self.arity)
         perms_cache: dict[int, list[tuple[int, ...]]] = {}
-        rel: set[tuple[int, ...]] = set()
-        positions = range(arity)
-        for t in sorted(outer.relations[name]):
+        for t in self.factor.relations[self.name]:
             block_of: dict[int, int] = {}
-            pattern = []
-            for a in t:
-                if a not in block_of:
-                    block_of[a] = len(block_of)
-                pattern.append(block_of[a])
+            pattern = [block_of.setdefault(o, len(block_of)) for o in t]
             perms = perms_cache.get(len(block_of))
             if perms is None:
-                perms = list(itertools.permutations(range(inner.domain_size), len(block_of)))
+                perms = list(itertools.permutations(range(self.other_size), len(block_of)))
                 perms_cache[len(block_of)] = perms
-            if own_first:
-                bases = [a * size2 for a in t]
-                for assign in perms:
-                    rel.add(tuple(bases[i] + assign[pattern[i]] for i in positions))
+            bases = [o * self.own_scale for o in t]
+            for assign in perms:
+                yield tuple(
+                    bases[i] + assign[pattern[i]] * self.other_scale for i in positions
+                )
+
+    def lift(self, mask: int) -> int:
+        """The product elements whose own coordinate is in a factor mask."""
+        return sum(self.row << o * self.own_scale for o in mask_bits(mask))
+
+    def index(self) -> tuple[tuple[int, ...], int, dict]:
+        """``Structure._index`` of the relation, lifted from the factor's.
+
+        Only factor tuples with at most ``other_size`` distinct values give
+        product tuples. Projections and the diagonal are the factor's,
+        widened to every other coordinate; the partner mask of (o, y) is
+        the lifted factor partner mask of o without the column of y.
+        """
+        tuples = self.factor.relations[self.name]
+        kept = [t for t in tuples if len(set(t)) <= self.other_size]
+        view = self.factor
+        if len(kept) < len(tuples):
+            signature = Signature([(self.name, self.arity)])
+            view = Structure(signature, self.factor.domain_size, {self.name: kept})
+        projections, diagonal, partners = view._index(self.name)
+        shifts = [y * self.other_scale for y in range(self.other_size)]
+
+        def widen(own_partners: dict[int, int]) -> dict[int, int]:
+            widened = {}
+            for o, mask in own_partners.items():
+                lifted = self.lift(mask)
+                for p in shifts:
+                    widened[o * self.own_scale + p] = lifted & ~(self.column << p)
+            return widened
+
+        return (
+            tuple(map(self.lift, projections)),
+            self.lift(diagonal),
+            {shape: (widen(f), widen(b)) for shape, (f, b) in partners.items()},
+        )
+
+    def supporting(
+        self, args: tuple[str, ...], position: int, value: int, masks: Mapping[str, int]
+    ) -> Iterator[dict[str, int]]:
+        """``Structure.supporting`` from the owning factor's bucket.
+
+        A factor tuple passes when each variable has one own value across
+        its positions and every block of equal own values keeps an allowed
+        other coordinate: one shift and one AND per variable, the anchor's
+        coordinate pinned. Only then are the blocks' other coordinates
+        expanded, pairwise distinct.
+        """
+        scale = self.own_scale
+        own0 = value // scale % self.factor.domain_size
+        pin = 1 << (value - own0 * scale)
+        for t in self.factor.tuples_by_value(self.name, position).get(own0, ()):
+            own_of: dict[str, int] = {}
+            for x, o in zip(args, t):
+                if own_of.setdefault(x, o) != o:
+                    break
             else:
-                for assign in perms:
-                    rel.add(tuple(assign[pattern[i]] * size2 + t[i] for i in positions))
-        relations[name] = rel
-    return Structure(signature, domain, relations, labels)
+                allowed: dict[int, int] = {}
+                for x, o in own_of.items():
+                    m = allowed.get(o, self.row)
+                    mask = masks.get(x)
+                    if mask is not None:
+                        m &= mask >> o * scale
+                    allowed[o] = m
+                allowed[own0] &= pin
+                if not all(allowed.values()):
+                    continue
+                choices = itertools.product(*(list(mask_bits(m)) for m in allowed.values()))
+                for choice in choices:
+                    if len(set(choice)) == len(choice):
+                        at = dict(zip(allowed, choice))
+                        yield {x: o * scale + at[o] for x, o in own_of.items()}
+
+
+class ProductStructure(Structure):
+    """A product sample that answers every solver query from its two factors.
+
+    ``relations`` maps each name to a ``_ProductRelation``: membership is
+    the pattern test and ``len`` a count, and a tuple is built only when a
+    caller iterates (printing, polymorphism checks, equality, expansion).
+    The relation index is lifted from the owning factor's index and
+    ``supporting`` scans the owning factor's buckets, so building and
+    solving cost O(factor tuples) plus O(|D|) big-integer mask operations
+    instead of O(product tuples). ``projection_mask``, ``diagonal_mask`` and
+    ``shaped_masks`` are the inherited methods over that index.
+    """
+
+    def __init__(
+        self,
+        signature: Signature,
+        domain_size: int,
+        relations: Mapping[str, _ProductRelation],
+        labels: Optional[Sequence[str]],
+    ):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "relations", dict(relations))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_indexes", {})
+
+    def _index(self, name: str) -> tuple[tuple[int, ...], int, dict]:
+        key = ("index", name)
+        cached = self._indexes.get(key)
+        if cached is None:
+            cached = self._indexes[key] = self.relations[name].index()
+        return cached
+
+    def supporting(
+        self,
+        name: str,
+        args: tuple[str, ...],
+        position: int,
+        value: int,
+        masks: Mapping[str, int],
+    ) -> Iterator[dict[str, int]]:
+        return self.relations[name].supporting(args, position, value, masks)
+
+
+def _product_structure(
+    b1: Structure, b2: Structure, signature: Signature, first_names: set[str]
+) -> ProductStructure:
+    """One product sample; pair (a, b) gets element id a * |B2| + b.
+
+    Each relation stays a test on the factor that owns it; no product tuple
+    is built here.
+    """
+    size1, size2 = b1.domain_size, b2.domain_size
+    labels = None
+    if b1.labels is not None or b2.labels is not None:
+        labels = tuple(
+            f"({b1.label(a)},{b2.label(b)})" for a in range(size1) for b in range(size2)
+        )
+    relations = {
+        name: _ProductRelation(b1, name, size2, 1, size2)
+        if name in first_names
+        else _ProductRelation(b2, name, 1, size2, size1)
+        for name, _ in signature
+    }
+    return ProductStructure(signature, size1 * size2, relations, labels)
 
 
 def _union_decider(

@@ -11,10 +11,10 @@ All three share one propagation engine over integer bitmasks (element k of
 the target is bit 1 << k). Seeding narrows each variable's candidates to
 the per-position projections of its atoms, or to the diagonal for atoms on
 one variable. Atoms with two distinct variables become a pair of arcs over
-the target's shaped partner masks; wider atoms are revised by scanning the
-tuple bucket of one anchor value, up to the generalized arc-consistency
-(GAC) fixpoint. That fixpoint is the one root of all three procedures:
-``arc_consistency`` is the root alone, ``hom_search`` searches from it,
+the target's shaped partner masks; wider atoms are revised through the
+target's ``supporting`` query at one anchor value, up to the generalized
+arc-consistency (GAC) fixpoint. That fixpoint is the one root of all three
+procedures: ``arc_consistency`` is the root alone, ``hom_search`` searches from it,
 forward-checking wide atoms, and ``establish_23_consistency`` seeds its pair
 relations, kept as rows of bitmasks, from it.
 
@@ -25,13 +25,14 @@ family. Verdicts over a family are disjunctions, independent of order.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .formulas import Bot, Eq, Instance, Neq, Rel, contract_equalities, validate
-from .model import Structure
+from .model import Structure, mask_bits
 from .sampling import SampleFamily
 
 
@@ -158,30 +159,6 @@ def _run_arcs(
     return True
 
 
-def _supporting(
-    bucket: Sequence[tuple[int, ...]], args: tuple[str, ...], masks: Mapping[str, int]
-) -> Iterator[dict[str, int]]:
-    """The tuples of an anchor bucket that support an atom, as value maps.
-
-    A tuple supports the atom when every variable takes one value across
-    its positions, and that value lies in the variable's mask if ``masks``
-    has one. Each supporting tuple yields its variable -> value map.
-    """
-    for t in bucket:
-        values: dict[str, int] = {}
-        for x, val in zip(args, t):
-            known = values.get(x)
-            if known is None:
-                mask = masks.get(x)
-                if mask is not None and not mask >> val & 1:
-                    break
-                values[x] = val
-            elif known != val:
-                break
-        else:
-            yield values
-
-
 def _gac_fixpoint(
     target: Structure, variables: Sequence[str], atoms: Sequence[Rel]
 ) -> Optional[
@@ -206,24 +183,18 @@ def _gac_fixpoint(
         narrowed: dict[str, None] = {}  # insertion order keeps the requeue order fixed
         for atom in wide:
             for u in dict.fromkeys(atom.args):
-                buckets = target.tuples_by_value(atom.symbol, atom.args.index(u))
-                for value in _bits(cand[u]):
-                    bucket = buckets.get(value, ())
-                    if next(_supporting(bucket, atom.args, cand), None) is None:
+                position = atom.args.index(u)
+                for value in mask_bits(cand[u]):
+                    supports = target.supporting(
+                        atom.symbol, atom.args, position, value, cand
+                    )
+                    if next(supports, None) is None:
                         cand[u] ^= 1 << value
                         narrowed[u] = None
         if not narrowed:
             return cand, arcs, arcs_watching, atoms_of
         queue = deque(dict.fromkeys(i for u in narrowed for i in arcs_watching[u]))
     return None
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Set bit positions of a mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def hom_search(inst: Instance, target: Structure) -> SolveResult:
@@ -233,9 +204,9 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     value disequality on the assignment. Search assigns the variable with
     the smallest candidate set first (ties by name), values in ascending
     order. The search starts from the GAC fixpoint of the shared engine;
-    during search, wider atoms are forward-checked through their anchor
-    buckets, and two-variable atoms are enforced exactly whenever either
-    side collapses to a single value. The search keeps its own stack, so
+    during search, wider atoms are forward-checked through ``supporting`` at
+    the value just assigned, and two-variable atoms are enforced exactly
+    whenever either side collapses to a single value. The search keeps its own stack, so
     instance depth is not bounded by recursion.
     """
     validate(inst)
@@ -285,9 +256,11 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
                 continue
             # assigned variables keep singleton masks; open ones are unfiltered
             fixed = {x: cand[x] for x in atom.args if x in assignment}
-            bucket = target.tuples_by_value(atom.symbol, atom.args.index(var)).get(value, ())
             allowed = dict.fromkeys(open_vars, 0)
-            for values in _supporting(bucket, atom.args, fixed):
+            supports = target.supporting(
+                atom.symbol, atom.args, atom.args.index(var), value, fixed
+            )
+            for values in supports:
                 for u in open_vars:
                     allowed[u] |= 1 << values[u]
             for u in open_vars:
@@ -305,6 +278,18 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
             arcs, arcs_watching, cand, queue, set(queue), trail, domain_size, False
         )
 
+    # the next variable is the least (candidate count, name) among the open
+    # ones, popped from a heap: every change to an open variable's mask
+    # pushes a fresh entry, and a popped entry that no longer matches its
+    # variable is dropped; the heap is rebuilt when stale entries pile up
+    heap = [(cand[v].bit_count(), v) for v in variables]
+    heapq.heapify(heap)
+
+    def reschedule(trail: list) -> None:
+        for u, _ in trail:
+            if u in unassigned:
+                heapq.heappush(heap, (cand[u].bit_count(), u))
+
     # depth-first search; a frame is (variable, its mask on entry, the values
     # not yet tried, the trail of the value being tried)
     stack: list[tuple] = []
@@ -314,18 +299,26 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
             if not unassigned:
                 witness = {v: assignment[mapping[v]] for v in inst.variables}
                 return SolveResult(True, witness, None)
-            var = min(unassigned, key=lambda v: (cand[v].bit_count(), v))
+            if len(heap) > 4 * len(variables):
+                heap = [(cand[v].bit_count(), v) for v in unassigned]
+                heapq.heapify(heap)
+            while True:
+                count, var = heapq.heappop(heap)
+                if var in unassigned and cand[var].bit_count() == count:
+                    break
             unassigned.discard(var)
-            stack.append((var, cand[var], _bits(cand[var]), []))
+            stack.append((var, cand[var], mask_bits(cand[var]), []))
         var, entry_dom, values, trail = stack[-1]
         for u, old in reversed(trail):
             cand[u] = old
+        reschedule(trail)
         trail.clear()
         cand[var] = entry_dom
         value = next(values, None)
         if value is None:
             assignment.pop(var, None)
             unassigned.add(var)
+            heapq.heappush(heap, (entry_dom.bit_count(), var))
             stack.pop()
             if not stack:
                 return SolveResult(False)
@@ -334,6 +327,8 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
         assignment[var] = value
         cand[var] = 1 << value
         descend = propagate(var, value, trail)
+        if descend:
+            reschedule(trail)
 
 
 def check_witness(
@@ -385,7 +380,7 @@ def arc_consistency(inst: Instance, target: Structure) -> Optional[ACState]:
     fixpoint = _gac_fixpoint(target, inst.variables, atoms)
     if fixpoint is None:
         return None
-    return ACState({v: frozenset(_bits(m)) for v, m in fixpoint[0].items()})
+    return ACState({v: frozenset(mask_bits(m)) for v, m in fixpoint[0].items()})
 
 
 def establish_23_consistency(inst: Instance, target: Structure) -> bool:
@@ -412,7 +407,7 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
     cand, arcs, _, atoms_of = fixpoint
     # rel[(u, w)][a] is the mask of w-values still paired with u = a
     rel = {
-        (u, w): dict.fromkeys(_bits(cand[u]), cand[w])
+        (u, w): dict.fromkeys(mask_bits(cand[u]), cand[w])
         for u in variables
         for w in variables
         if u != w
@@ -446,16 +441,16 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
                 continue
             masks[z] = both = rel[(x, z)].get(a, 0) & rel[(y, z)].get(b, 0)
             extra = triples.get(frozenset((x, y, z))) if triples else None
-            if extra and not any(holds(extra, {x: a, y: b, z: w}) for w in _bits(both)):
+            if extra and not any(holds(extra, {x: a, y: b, z: w}) for w in mask_bits(both)):
                 return False
             if not both:
                 return False
         for u, value in ((x, a), (y, b)):
             for atom in wide_of[u]:
-                bucket = target.tuples_by_value(
-                    atom.symbol, atom.args.index(u)
-                ).get(value, ())
-                if next(_supporting(bucket, atom.args, masks), None) is None:
+                supports = target.supporting(
+                    atom.symbol, atom.args, atom.args.index(u), value, masks
+                )
+                if next(supports, None) is None:
                     return False
         return True
 
@@ -469,7 +464,7 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         rows, cols = rel[key], rel[(y, x)]
         changed = False
         for a, row in rows.items():
-            for b in _bits(row):
+            for b in mask_bits(row):
                 if not supported(x, a, y, b):
                     rows[a] ^= 1 << b
                     cols[b] ^= 1 << a

@@ -138,6 +138,42 @@ def rank_color_oracle(inst: cs.Instance) -> bool:
     return extend(0)
 
 
+def materialized_product(b1: cs.Structure, b2: cs.Structure) -> cs.Structure:
+    """The product sample of two factor structures as a plain Structure.
+
+    The reference for the implicit product: every factor tuple is paired
+    with every other-factor tuple of the same equality pattern (injective on
+    its distinct positions), and the tuples are listed. Relations of the
+    first signature are owned by ``b1``, the rest by ``b2``.
+    """
+    size2 = b2.domain_size
+    signature = b1.signature.union(b2.signature)
+    labels = None
+    if b1.labels is not None or b2.labels is not None:
+        labels = [
+            f"({b1.label(a)},{b2.label(b)})"
+            for a in range(b1.domain_size)
+            for b in range(size2)
+        ]
+    relations = {}
+    for name, arity in signature:
+        own_first = name in b1.signature
+        outer, inner = (b1, b2) if own_first else (b2, b1)
+        rel = set()
+        for t in outer.relations[name]:
+            block_of: dict[int, int] = {}
+            for a in t:
+                block_of.setdefault(a, len(block_of))
+            pattern = [block_of[a] for a in t]
+            for assign in itertools.permutations(range(inner.domain_size), len(block_of)):
+                if own_first:
+                    rel.add(tuple(a * size2 + assign[p] for a, p in zip(t, pattern)))
+                else:
+                    rel.add(tuple(assign[p] * size2 + b for b, p in zip(t, pattern)))
+        relations[name] = rel
+    return cs.Structure(signature, b1.domain_size * size2, relations, labels)
+
+
 def enumerate_instances(signature, pool, max_atoms, with_equalities=True):
     """All instances over the variable pool with at most max_atoms atoms."""
     universe: list = [

@@ -24,7 +24,7 @@ SEEDS = (1, 2)
 ROUNDS = 2000
 _TOKEN = re.compile(r"\w+|[^\w\s]")
 _CHARS = "0123456789()/,;:={}#\"'<>!&|-_ \nxyzlt"
-_NUMBERS = ("0", "1", "2", "3", "7", "1000", "40000000000")
+_NUMBERS = ("0", "1", "2", "3", "7", "83", "1000", "40000000000")
 
 
 def mutate(text: str, rng: random.Random) -> str:

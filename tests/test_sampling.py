@@ -1,4 +1,7 @@
 
+import itertools
+import random
+
 import pytest
 
 import cspsampling as cs
@@ -249,3 +252,183 @@ def test_product_samples_have_an_element_budget():
     assert cs.product_sampling(points(sig1, 1000), points(sig2, 1000)).generate(1)
     with pytest.raises(cs.SamplingError, match="1,001,000 elements.*budget"):
         cs.product_sampling(points(sig1, 1001), points(sig2, 1000)).generate(1)
+
+
+# --- the implicit product against its materialized reference ----------------
+
+
+def _implicit(b1, b2):
+    import cspsampling.sampling as sampling
+
+    signature = b1.signature.union(b2.signature)
+    return sampling._product_structure(b1, b2, signature, set(b1.signature.names()))
+
+
+def _scan_supporting(buckets, args, value, masks):
+    """Variable maps of the tuples in one bucket that support an atom."""
+    found = []
+    for t in buckets.get(value, ()):
+        values = {}
+        if all(
+            values.setdefault(x, e) == e and (x not in masks or masks[x] >> e & 1)
+            for x, e in zip(args, t)
+        ):
+            found.append(sorted(values.items()))
+    return sorted(found)
+
+
+def _assert_matches_reference(b1, b2, rng):
+    import conftest as helpers
+
+    prod, ref = _implicit(b1, b2), helpers.materialized_product(b1, b2)
+    assert isinstance(prod, cs.ProductStructure)
+    size = ref.domain_size
+    assert prod.domain_size == size and prod.labels == ref.labels
+    for name, arity in ref.signature:
+        rel, expected = prod.relations[name], ref.relations[name]
+        assert len(rel) == len(expected)
+        assert set(rel) == expected
+        probes = [tuple(rng.randrange(-1, size + 2) for _ in range(arity)) for _ in range(200)]
+        for t in rng.sample(sorted(expected), min(len(expected), 100)):
+            i = rng.randrange(arity)
+            probes += [t, t[:i] + (rng.randrange(size),) + t[i + 1 :]]
+        if size**arity <= 4096:
+            probes += itertools.product(range(size), repeat=arity)
+        for t in probes:
+            assert (t in rel) == (t in expected), (name, t)
+        for t in [(), (0,) * (arity + 1), (size,) * arity, (-1,) * arity]:
+            assert t not in rel
+        for p in range(arity):
+            assert prod.projection_mask(name, p) == ref.projection_mask(name, p)
+        assert prod.diagonal_mask(name) == ref.diagonal_mask(name)
+        for sides in itertools.product((0, 1), repeat=arity):
+            first = tuple(p for p in range(arity) if sides[p] == 0)
+            second = tuple(p for p in range(arity) if sides[p] == 1)
+            if first and second:
+                assert prod.shaped_masks(name, first, second) == ref.shaped_masks(
+                    name, first, second
+                ), (name, first, second)
+        for _ in range(3):
+            pool = "xyzw"[: rng.randint(1, arity)]
+            args = tuple(rng.choice(pool) for _ in range(arity))
+            masks = {
+                x: rng.getrandbits(size) | rng.getrandbits(size)
+                for x in pool
+                if rng.random() < 0.7  # the others are absent: unconstrained
+            }
+            for position in range(arity):
+                buckets = {}
+                for t in expected:
+                    buckets.setdefault(t[position], []).append(t)
+                for value in range(size):
+                    for given in (masks, {}):
+                        got = sorted(
+                            sorted(m.items())
+                            for m in prod.supporting(name, args, position, value, given)
+                        )
+                        want = _scan_supporting(buckets, args, value, given)
+                        assert got == want, (name, args, position, value)
+
+
+def _random_factor(rng, names, size):
+    relations = {}
+    signature = Signature([(name, arity) for name, arity in names])
+    for name, arity in names:
+        relations[name] = {
+            tuple(rng.randrange(size) for _ in range(arity))
+            for _ in range(rng.randint(0, 8))
+        }
+    return Structure(signature, size, relations)
+
+
+def test_implicit_product_matches_the_materialized_reference():
+    import conftest as helpers
+
+    rng = random.Random(20261018)
+    order, colors = helpers.order_family(), helpers.colors_family()
+    for n in range(1, 7):
+        (b1,), (b2,) = order.generate(n), colors.generate(n)
+        _assert_matches_reference(b1, b2, rng)
+    for n in (2, 3):  # the wide relation in the second factor: the comb path
+        (b1,), (b2,) = colors.generate(n), order.generate(n)
+        _assert_matches_reference(b1, b2, rng)
+    sig_t = Signature([("T", 3), ("E", 2)])
+    sig_s = Signature([("S", 3), ("U", 1)])
+    three = Structure(
+        sig_t, 4, {"T": {(0, 1, 2), (1, 2, 3), (0, 0, 1), (2, 2, 2), (3, 1, 3)},
+                   "E": {(0, 1), (2, 2)}},
+    )
+    for size in (1, 2, 3, 4):  # (0, 1, 2) has more distinct values than 1 or 2
+        other = Structure(
+            sig_s, size, {"S": {(0, 0, 0), (0, size - 1, size // 2)}, "U": {(size - 1,)}}
+        )
+        _assert_matches_reference(three, other, rng)
+        _assert_matches_reference(other, three, rng)
+    for _ in range(40):
+        b1 = _random_factor(rng, [("R", rng.randint(1, 4)), ("Q", 2)], rng.randint(1, 4))
+        b2 = _random_factor(rng, [("W", rng.randint(1, 4))], rng.randint(1, 4))
+        _assert_matches_reference(b1, b2, rng)
+
+
+def test_product_samples_materialize_on_demand_exactly():
+    import conftest as helpers
+    from cspsampling import io
+
+    rng = random.Random(7)
+    order, colors = helpers.order_family(), helpers.colors_family()
+    for n in range(1, 5):
+        (b1,), (b2,) = order.generate(n), colors.generate(n)
+        prod, ref = _implicit(b1, b2), helpers.materialized_product(b1, b2)
+        assert io.print_structure(prod, name="s") == io.print_structure(ref, name="s")
+        assert prod == ref and ref == prod
+        identity = {e: e for e in range(ref.domain_size)}
+        assert cs.is_homomorphism(identity, prod, ref)
+        assert cs.is_homomorphism(identity, ref, prod)
+        for _ in range(60):
+            inst = helpers.random_instance(prod.signature, rng, max_vars=4, neq_ok=False)
+            contracted, _ = cs.contract_equalities(inst)
+            if contracted.has_bot():
+                continue
+            source = cs.canonical_database(contracted)
+            found = cs.hom_search(contracted, ref)
+            mappings = [
+                {e: rng.randrange(ref.domain_size) for e in range(source.domain_size)}
+            ]
+            if found.satisfiable:
+                variables = contracted.variables
+                mappings.append({i: found.assignment[v] for i, v in enumerate(variables)})
+            for mapping in mappings:
+                holds = cs.is_homomorphism(mapping, source, ref)
+                assert cs.is_homomorphism(mapping, source, prod) == holds
+                if holds:
+                    assert cs.image_structure(mapping, source, prod) == cs.image_structure(
+                        mapping, source, ref
+                    )
+            if found.satisfiable:
+                assert cs.check_witness(contracted, prod, found.assignment)
+
+
+def test_building_and_solving_a_product_level_builds_no_tuple(monkeypatch):
+    import conftest as helpers
+    import cspsampling.sampling as sampling
+
+    def iterated(self):
+        raise AssertionError(f"product relation {self.name} was iterated")
+
+    monkeypatch.setattr(sampling._ProductRelation, "__iter__", iterated)
+    robot = cs.product_sampling(helpers.order_family(), helpers.colors_family())
+    (sample,) = robot.generate(8)
+    assert isinstance(sample, cs.ProductStructure)
+    assert sum(len(r) for r in sample.relations.values()) > 0
+    rng = random.Random(3)
+    for _ in range(40):
+        inst = helpers.random_instance(robot.signature, rng, max_vars=7, max_atoms=8)
+        contracted, _ = cs.contract_equalities(inst)
+        res = cs.solve_via_sampling(robot, inst)
+        if res.satisfiable:
+            target = robot.generate(len(contracted.variables))[res.sample_index]
+            assert cs.check_witness(inst, target, res.assignment)
+        if not any(isinstance(a, Neq) for a in contracted.atoms):
+            cs.solve_ac_over_sampling(robot, inst)
+            if len(contracted.variables) <= 4:  # the pair closure is slow past that
+                cs.solve_nu_over_sampling(robot, inst)
