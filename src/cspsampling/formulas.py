@@ -90,7 +90,7 @@ class Instance:
         return cls(signature, atoms, tuple(seen))
 
     def has_bot(self) -> bool:
-        return any(isinstance(a, Bot) for a in self.atoms)
+        return Bot in map(type, self.atoms)
 
 
 def validate(inst: Instance) -> str:
@@ -98,11 +98,12 @@ def validate(inst: Instance) -> str:
 
     Raises InstanceError on unknown symbols or arity mismatches.
     """
+    arities = dict(inst.signature)
     for atom in inst.atoms:
         if isinstance(atom, Rel):
-            if atom.symbol not in inst.signature:
+            arity = arities.get(atom.symbol)
+            if arity is None:
                 raise InstanceError(f"unknown relation symbol {atom.symbol!r}")
-            arity = inst.signature.arity(atom.symbol)
             if len(atom.args) != arity:
                 raise InstanceError(
                     f"{atom.symbol} expects {arity} arguments, got {len(atom.args)}"
@@ -115,58 +116,54 @@ def contract_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:
 
     Each equality class is replaced by its first-occurring variable.
     Disequalities are rewritten to representatives; a disequality between
-    identical representatives collapses the instance to falsum. Idempotent.
+    identical representatives collapses the instance to falsum. Repeated
+    atoms are dropped. Idempotent: an instance without equalities keeps its
+    atom objects, and comes back as it is when nothing repeats or collapses.
     """
-    order = {v: i for i, v in enumerate(inst.variables)}
-    parent: dict[str, str] = {v: v for v in inst.variables}
+    mapping = {v: v for v in inst.variables}
+    kinds = set(map(type, inst.atoms))
+    equalities = [a for a in inst.atoms if isinstance(a, Eq)] if Eq in kinds else []
+    if equalities:
+        order = {v: i for i, v in enumerate(inst.variables)}
 
-    def find(v: str) -> str:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+        def find(v: str) -> str:
+            root = v
+            while mapping[root] != root:
+                root = mapping[root]
+            while mapping[v] != root:
+                mapping[v], v = root, mapping[v]
+            return root
 
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if order[ra] > order[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
+        for atom in equalities:
+            ra, rb = find(atom.left), find(atom.right)
+            if order[ra] > order[rb]:
+                ra, rb = rb, ra
+            mapping[rb] = ra
+        for v in mapping:
+            mapping[v] = find(v)
+    variables = tuple(dict.fromkeys(mapping.values()))
 
-    for atom in inst.atoms:
-        if isinstance(atom, Eq):
-            union(atom.left, atom.right)
-
-    mapping = {v: find(v) for v in inst.variables}
-    variables = tuple(dict.fromkeys(mapping[v] for v in inst.variables))
-
-    new_atoms: list[Atom] = []
-    seen: set[Atom] = set()
-    bot = False
-    for atom in inst.atoms:
-        if isinstance(atom, Eq):
-            continue
-        if isinstance(atom, Bot):
-            bot = True
-            break
-        if isinstance(atom, Rel):
-            atom = Rel(atom.symbol, tuple(mapping[a] for a in atom.args))
-        elif isinstance(atom, Neq):
-            left, right = mapping[atom.left], mapping[atom.right]
-            if left == right:
-                bot = True
-                break
-            atom = Neq(left, right)
-        if atom not in seen:
-            seen.add(atom)
+    new_atoms = inst.atoms  # relation atoms alone need no rewriting
+    if not kinds <= {Rel}:
+        new_atoms = []
+        for atom in inst.atoms:
+            if isinstance(atom, Eq):
+                continue
+            if isinstance(atom, Bot):
+                return Instance(inst.signature, (BOT,), variables), mapping
+            if isinstance(atom, Neq):
+                left, right = mapping[atom.left], mapping[atom.right]
+                if left == right:
+                    return Instance(inst.signature, (BOT,), variables), mapping
+                if equalities:
+                    atom = Neq(left, right)
+            elif equalities:
+                atom = Rel(atom.symbol, tuple(mapping[a] for a in atom.args))
             new_atoms.append(atom)
-
-    if bot:
-        return Instance(inst.signature, (BOT,), variables), mapping
-    return Instance(inst.signature, tuple(new_atoms), variables), mapping
+    atoms = tuple(dict.fromkeys(new_atoms))
+    if len(atoms) == len(inst.atoms):
+        return inst, mapping
+    return Instance(inst.signature, atoms, variables), mapping
 
 
 def canonical_database(inst: Instance) -> Structure:

@@ -6,14 +6,19 @@ output uses sorted lexicographic tuple order so results are deterministic.
 All values are immutable after construction and safe to share across
 concurrent solver runs.
 
-Solvers make five queries of a relation: ``projection_mask``,
-``diagonal_mask`` and ``shaped_masks``, read from one cached index per
-relation; ``supporting``, the tuples through one value that support an atom
-with three or more distinct variables; and tuple membership in
-``relations``. Two kinds of structure answer them. A ``Structure`` holds its
-tuple sets and builds the index in a single pass over them; a product sample
+Solvers make five queries of a relation: ``projection_mask`` and
+``diagonal_mask``, read from one cached index per relation; ``arc``, the
+two-variable arc query of one shape and direction, whose object answers
+``revise`` (narrow the affected mask against the watched one) and
+``partners`` (the affected values paired with one watched value);
+``supporting``, the tuples through one value that support an atom with
+three or more distinct variables; and tuple membership in ``relations``.
+Two kinds of structure answer them. A ``Structure`` holds its tuple sets
+and builds the index in a single pass over them; its arcs are
+``TableArc``s over listed partner masks. A product sample
 (``sampling.ProductStructure``) keeps its two factors and answers every
-query from them, building a tuple only when a caller iterates a relation.
+query from them, revising arcs from the owning factor's partner masks and
+building a tuple only when a caller iterates a relation.
 """
 
 from __future__ import annotations
@@ -41,6 +46,55 @@ class ShapedMasks(NamedTuple):
     backward_keys: int
     forward_by_size: tuple[tuple[int, int], ...]
     backward_by_size: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, forward: dict[int, int], backward: dict[int, int]) -> "ShapedMasks":
+        """The masks of two partner dicts, with their keys and size orders."""
+        return cls(
+            forward,
+            backward,
+            sum(1 << v for v in forward),
+            sum(1 << v for v in backward),
+            tuple(sorted((m.bit_count(), v) for v, m in forward.items())),
+            tuple(sorted((m.bit_count(), v) for v, m in backward.items())),
+        )
+
+
+class TableArc:
+    """One direction of a two-variable atom over listed partner masks.
+
+    ``partners(value)`` is the mask of affected values paired with one
+    watched value; ``revise(dom_affected, dom_watched)`` keeps the affected
+    values with a partner in the watched mask. A watched mask has lost at
+    most ``domain_size - |dom_watched|`` values, so by pigeonhole only
+    affected values with that few partners can have lost them all; they are
+    the only ones checked.
+    """
+
+    __slots__ = ("_partners", "_supports", "_keys", "_by_size", "_domain_size")
+
+    def __init__(self, domain_size: int, masks: ShapedMasks):
+        self._partners = masks.forward
+        self._supports = masks.backward
+        self._keys = masks.backward_keys
+        self._by_size = masks.backward_by_size
+        self._domain_size = domain_size
+
+    def partners(self, value: int) -> int:
+        return self._partners.get(value, 0)
+
+    def revise(self, dom_affected: int, dom_watched: int) -> int:
+        new = dom_affected & self._keys
+        threshold = self._domain_size - dom_watched.bit_count()
+        if threshold:
+            supports = self._supports
+            for size, b in self._by_size:
+                if size > threshold:
+                    break
+                bit = 1 << b
+                if new & bit and not supports[b] & dom_watched:
+                    new &= ~bit
+        return new
 
 
 @dataclass(frozen=True)
@@ -259,13 +313,7 @@ class Structure:
         key = ("shaped-masks", name, first_positions, second_positions)
         cached = self._indexes.get(key)
         if cached is None:
-            arity = self.signature.arity(name)
-            group = first_positions if 0 in first_positions else second_positions
-            pattern = tuple(p in group for p in range(arity))
-            if all(pattern) or sorted(first_positions + second_positions) != list(range(arity)):
-                raise ValueError(
-                    f"{first_positions} and {second_positions} do not partition {name}"
-                )
+            pattern = self._shape_pattern(name, first_positions, second_positions)
             _, diagonal, partners = self._index(name)
             forward, backward = (dict(m) for m in partners.get(pattern, ({}, {})))
             if 0 not in first_positions:
@@ -274,16 +322,43 @@ class Structure:
                 if diagonal >> v & 1:
                     forward[v] = forward.get(v, 0) | 1 << v
                     backward[v] = backward.get(v, 0) | 1 << v
-            cached = ShapedMasks(
-                forward,
-                backward,
-                sum(1 << v for v in forward),
-                sum(1 << v for v in backward),
-                tuple(sorted((m.bit_count(), v) for v, m in forward.items())),
-                tuple(sorted((m.bit_count(), v) for v, m in backward.items())),
-            )
-            self._indexes[key] = cached
+            cached = self._indexes[key] = ShapedMasks.of(forward, backward)
         return cached
+
+    def _shape_pattern(
+        self, name: str, first_positions: tuple[int, ...], second_positions: tuple[int, ...]
+    ) -> tuple[bool, ...]:
+        """The equality pattern of a two-group shape: True on the group
+        holding position 0. Raises unless the groups partition the positions."""
+        arity = self.signature.arity(name)
+        group = first_positions if 0 in first_positions else second_positions
+        pattern = tuple(p in group for p in range(arity))
+        if all(pattern) or sorted(first_positions + second_positions) != list(range(arity)):
+            raise ValueError(f"{first_positions} and {second_positions} do not partition {name}")
+        return pattern
+
+    def arc(
+        self,
+        name: str,
+        watched_positions: tuple[int, ...],
+        affected_positions: tuple[int, ...],
+    ):
+        """Arc revision of a two-variable atom, from the variable on the
+        watched positions to the one on the affected positions; an object
+        with ``revise`` and ``partners``, built once per shape and direction."""
+        key = ("arc", name, watched_positions, affected_positions)
+        cached = self._indexes.get(key)
+        if cached is None:
+            cached = self._indexes[key] = self._build_arc(
+                name, watched_positions, affected_positions
+            )
+        return cached
+
+    def _build_arc(
+        self, name: str, watched_positions: tuple[int, ...], affected_positions: tuple[int, ...]
+    ) -> TableArc:
+        masks = self.shaped_masks(name, watched_positions, affected_positions)
+        return TableArc(self.domain_size, masks)
 
 
 def mask_bits(mask: int) -> Iterator[int]:

@@ -17,7 +17,7 @@ collapsing them into one disjoint union can destroy equality matching.
 Product samples are ``ProductStructure`` values: each relation stays the
 test on its factors that defines it, and the solver queries are answered
 from the factors' own indexes, so a product level costs its factor tuples
-plus O(|D|) big-integer mask operations, not its |D|^k tuples.
+plus O(|D_own|) big-integer masks per relation shape, not its |D|^k tuples.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import qf
 from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
-from .model import Signature, Structure, mask_bits
+from .model import ShapedMasks, Signature, Structure, mask_bits
 
 Decider = Callable[[Instance], bool]
 
 _MAX_ELEMENTS = 1_000_000  # in one sample
-_MAX_PRODUCT_TUPLES = 8_000_000  # in all samples of one product level
+_MAX_INDEX_BITS = 1_000_000_000  # mask bits the indexes of one product level can hold
 
 
 class SamplingError(ValueError):
@@ -202,9 +202,9 @@ def product_sampling(s1: SampleFamily, s2: SampleFamily) -> SampleFamily:
     The total size at n is the product of the factor sizes at n. Samples
     are ``ProductStructure`` values that keep this definition as a test and
     list no tuple unless a caller iterates a relation. A level with a
-    sample over ``_MAX_ELEMENTS`` elements, or whose samples would hold more
-    than ``_MAX_PRODUCT_TUPLES`` tuples in all, raises SamplingError before
-    any of them is built.
+    sample over ``_MAX_ELEMENTS`` elements, or whose samples' indexes could
+    hold more than ``_MAX_INDEX_BITS`` mask bits in all (``_index_bits``),
+    raises SamplingError before any of them is built.
     """
     for s in (s1, s2):
         if not s.equality_matching:
@@ -220,16 +220,11 @@ def product_sampling(s1: SampleFamily, s2: SampleFamily) -> SampleFamily:
             max((b1.domain_size * b2.domain_size for b1, b2 in pairs), default=0),
             f"a sample of {s1.name}*{s2.name} at n={n}",
         )
-        tuples = sum(
-            _product_count(rel, other.domain_size)
-            for b1, b2 in pairs
-            for own, other in ((b1, b2), (b2, b1))
-            for rel in own.relations.values()
-        )
-        if tuples > _MAX_PRODUCT_TUPLES:
+        bits = sum(_index_bits(b1, b2) for b1, b2 in pairs)
+        if bits > _MAX_INDEX_BITS:
             raise SamplingError(
-                f"{s1.name}*{s2.name} at n={n} would hold {tuples:,} tuples, over "
-                f"the product budget of {_MAX_PRODUCT_TUPLES:,}"
+                f"{s1.name}*{s2.name} at n={n} could index {bits:,} mask bits, over "
+                f"the index budget of {_MAX_INDEX_BITS:,}"
             )
         return [_product_structure(b1, b2, signature, first_names) for b1, b2 in pairs]
 
@@ -252,6 +247,34 @@ def _product_count(tuples: Iterable[tuple[int, ...]], other_size: int) -> int:
     return sum(math.perm(other_size, len(set(t))) for t in tuples)
 
 
+def _factor_index(factor: Structure, name: str, other_size: int) -> tuple:
+    """The owning factor's ``Structure._index`` of a relation, over the factor
+    tuples that give product tuples: those with at most ``other_size``
+    distinct values. A product factor is read through its tuples, since its
+    own index is keyed by coordinate."""
+    arity = factor.signature.arity(name)
+    if other_size >= arity and not isinstance(factor, ProductStructure):
+        return factor._index(name)
+    kept = [t for t in factor.relations[name] if len(set(t)) <= other_size]
+    view = Structure(Signature([(name, arity)]), factor.domain_size, {name: kept})
+    return view._index(name)
+
+
+def _index_bits(b1: Structure, b2: Structure) -> int:
+    """Mask bits the indexes of the product of two factors can hold.
+
+    Each relation holds a projection per position and the diagonal, and its
+    arcs hold, per shape and direction, two masks (the lifted partner mask
+    and the row) per factor value with partners; every mask has |D| bits.
+    """
+    masks = 0
+    for own, other in ((b1, b2), (b2, b1)):
+        for name, arity in own.signature:
+            partners = _factor_index(own, name, other.domain_size)[2]
+            masks += arity + 1 + 2 * sum(len(f) + len(b) for f, b in partners.values())
+    return masks * b1.domain_size * b2.domain_size
+
+
 class _ProductRelation(Set):
     """One relation of a product sample, kept as a test on its owning factor.
 
@@ -271,26 +294,32 @@ class _ProductRelation(Set):
         self.arity = factor.signature.arity(name)
         self.own_scale = own_scale
         self.other_scale = other_scale
+        self.own_size = factor.domain_size
         self.other_size = other_size
         self.domain_size = factor.domain_size * other_size
         # the elements with own coordinate 0, and those with other coordinate 0
         self.row = sum(1 << y * other_scale for y in range(other_size))
         self.column = sum(1 << o * own_scale for o in range(factor.domain_size))
+        self._decode = (own_scale, self.own_size, self.domain_size, factor.relations[name])
         self._len: Optional[int] = None
 
     def __contains__(self, t: object) -> bool:
         if len(t) != self.arity:
             return False
-        own, other = [], []
+        own_scale, own_size, size, tuples = self._decode
+        own = []
+        # the coordinates have one equality pattern iff each own coordinate
+        # has one element and each other coordinate one own coordinate
+        element_at: dict[int, int] = {}
+        own_at: dict[int, int] = {}
         for e in t:
-            if not 0 <= e < self.domain_size:
+            if not 0 <= e < size:
                 return False
-            own.append(e // self.own_scale % self.factor.domain_size)
-            other.append(e // self.other_scale % self.other_size)
-        return (
-            len(set(own)) == len(set(other)) == len(set(t))
-            and tuple(own) in self.factor.relations[self.name]
-        )
+            o = e // own_scale % own_size
+            if element_at.setdefault(o, e) != e or own_at.setdefault(e - o * own_scale, o) != o:
+                return False
+            own.append(o)
+        return tuple(own) in tuples
 
     def __len__(self) -> int:
         if self._len is None:
@@ -317,36 +346,22 @@ class _ProductRelation(Set):
         """The product elements whose own coordinate is in a factor mask."""
         return sum(self.row << o * self.own_scale for o in mask_bits(mask))
 
-    def index(self) -> tuple[tuple[int, ...], int, dict]:
-        """``Structure._index`` of the relation, lifted from the factor's.
+    def index(self) -> tuple[tuple[int, ...], int, int, dict]:
+        """Lifted projections and diagonal, the factor diagonal, and the
+        lifted factor partner masks of each shape.
 
         Only factor tuples with at most ``other_size`` distinct values give
         product tuples. Projections and the diagonal are the factor's,
-        widened to every other coordinate; the partner mask of (o, y) is
-        the lifted factor partner mask of o without the column of y.
+        lifted to every other coordinate. Each shape keeps, per direction,
+        one lifted factor partner mask per own value with partners: the
+        O(|D_own|) masks that ``_ProductArc`` answers from.
         """
-        tuples = self.factor.relations[self.name]
-        kept = [t for t in tuples if len(set(t)) <= self.other_size]
-        view = self.factor
-        if len(kept) < len(tuples):
-            signature = Signature([(self.name, self.arity)])
-            view = Structure(signature, self.factor.domain_size, {self.name: kept})
-        projections, diagonal, partners = view._index(self.name)
-        shifts = [y * self.other_scale for y in range(self.other_size)]
-
-        def widen(own_partners: dict[int, int]) -> dict[int, int]:
-            widened = {}
-            for o, mask in own_partners.items():
-                lifted = self.lift(mask)
-                for p in shifts:
-                    widened[o * self.own_scale + p] = lifted & ~(self.column << p)
-            return widened
-
-        return (
-            tuple(map(self.lift, projections)),
-            self.lift(diagonal),
-            {shape: (widen(f), widen(b)) for shape, (f, b) in partners.items()},
-        )
+        projections, diagonal, partners = _factor_index(self.factor, self.name, self.other_size)
+        shapes = {
+            pattern: tuple({o: self.lift(m) for o, m in side.items()} for side in sides)
+            for pattern, sides in partners.items()
+        }
+        return tuple(map(self.lift, projections)), self.lift(diagonal), diagonal, shapes
 
     def supporting(
         self, args: tuple[str, ...], position: int, value: int, masks: Mapping[str, int]
@@ -385,17 +400,79 @@ class _ProductRelation(Set):
                         yield {x: o * scale + at[o] for x, o in own_of.items()}
 
 
+class _ProductArc:
+    """One direction of a two-variable atom on a product relation.
+
+    Element (o, y) has own coordinate o in the owning factor and other
+    coordinate y. A two-valued product tuple has two distinct values in
+    both coordinates and a constant one is constant in both, so the
+    partners of watched (o, y) are the lifted factor partners of o outside
+    the column of y, plus (o, y) itself when o is on the factor diagonal.
+    ``revise`` keeps the self-supported values, then takes each affected
+    own row with factor partners: the watched values within the row's
+    lifted partners support the whole row when they reach two columns, the
+    row outside their column when they lie in one, and none of it when
+    there are none. That is O(|D_own|) mask operations, where listed
+    partner masks would take one per product value.
+    """
+
+    __slots__ = ("_to_affected", "_rows", "_diagonal", "_lifted_diagonal",
+                 "_own_scale", "_own_size", "_column")
+
+    def __init__(
+        self,
+        rel: _ProductRelation,
+        to_affected: dict[int, int],
+        to_watched: dict[int, int],
+        diagonal: int,
+        lifted_diagonal: int,
+    ):
+        self._to_affected = to_affected
+        self._rows = tuple(
+            (rel.row << o * rel.own_scale, lifted) for o, lifted in to_watched.items()
+        )
+        self._diagonal = diagonal
+        self._lifted_diagonal = lifted_diagonal
+        self._own_scale = rel.own_scale
+        self._own_size = rel.own_size
+        self._column = rel.column
+
+    def partners(self, value: int) -> int:
+        o = value // self._own_scale % self._own_size
+        mask = self._to_affected.get(o, 0)
+        if mask:
+            mask &= ~(self._column << value - o * self._own_scale)
+        if self._diagonal >> o & 1:
+            mask |= 1 << value
+        return mask
+
+    def revise(self, dom_affected: int, dom_watched: int) -> int:
+        own_scale, own_size, column = self._own_scale, self._own_size, self._column
+        keep = dom_affected & dom_watched & self._lifted_diagonal
+        for row, lifted in self._rows:
+            row_affected = dom_affected & row
+            if row_affected:
+                support = dom_watched & lifted
+                if support:
+                    low = (support & -support).bit_length() - 1
+                    at = column << low - low // own_scale % own_size * own_scale
+                    keep |= row_affected & ~at if support & at == support else row_affected
+        return keep
+
+
 class ProductStructure(Structure):
     """A product sample that answers every solver query from its two factors.
 
     ``relations`` maps each name to a ``_ProductRelation``: membership is
     the pattern test and ``len`` a count, and a tuple is built only when a
     caller iterates (printing, polymorphism checks, equality, expansion).
-    The relation index is lifted from the owning factor's index and
-    ``supporting`` scans the owning factor's buckets, so building and
-    solving cost O(factor tuples) plus O(|D|) big-integer mask operations
-    instead of O(product tuples). ``projection_mask``, ``diagonal_mask`` and
-    ``shaped_masks`` are the inherited methods over that index.
+    The relation index is lifted from the owning factor's index, arcs are
+    ``_ProductArc``s over its O(|D_own|) lifted partner masks per shape,
+    and ``supporting`` scans the owning factor's buckets, so building and
+    solving cost O(factor tuples) plus O(|D_own|) big-integer mask
+    operations per revision instead of O(product tuples) or O(|D|).
+    ``projection_mask`` and ``diagonal_mask`` are the inherited methods over
+    that index; ``shaped_masks`` is read off the arcs, one value at a time.
     """
 
     def __init__(
@@ -411,12 +488,39 @@ class ProductStructure(Structure):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_indexes", {})
 
-    def _index(self, name: str) -> tuple[tuple[int, ...], int, dict]:
+    def _index(self, name: str) -> tuple[tuple[int, ...], int, int, dict]:
         key = ("index", name)
         cached = self._indexes.get(key)
         if cached is None:
             cached = self._indexes[key] = self.relations[name].index()
         return cached
+
+    def _build_arc(
+        self, name: str, watched_positions: tuple[int, ...], affected_positions: tuple[int, ...]
+    ) -> _ProductArc:
+        pattern = self._shape_pattern(name, watched_positions, affected_positions)
+        _, lifted_diagonal, diagonal, shapes = self._index(name)
+        forward, backward = shapes.get(pattern, ({}, {}))
+        if 0 not in watched_positions:
+            forward, backward = backward, forward
+        return _ProductArc(self.relations[name], forward, backward, diagonal, lifted_diagonal)
+
+    def shaped_masks(
+        self,
+        name: str,
+        first_positions: tuple[int, ...],
+        second_positions: tuple[int, ...],
+    ) -> ShapedMasks:
+        """``Structure.shaped_masks`` from the two arcs of the shape; built
+        on each call, since it holds a |D|-bit mask per product value."""
+        forward, backward = (
+            {v: m for v in range(self.domain_size) if (m := arc.partners(v))}
+            for arc in (
+                self.arc(name, first_positions, second_positions),
+                self.arc(name, second_positions, first_positions),
+            )
+        )
+        return ShapedMasks.of(forward, backward)
 
     def supporting(
         self,

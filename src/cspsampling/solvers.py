@@ -10,8 +10,8 @@ disequalities loudly rather than approximating them.
 All three share one propagation engine over integer bitmasks (element k of
 the target is bit 1 << k). Seeding narrows each variable's candidates to
 the per-position projections of its atoms, or to the diagonal for atoms on
-one variable. Atoms with two distinct variables become a pair of arcs over
-the target's shaped partner masks; wider atoms are revised through the
+one variable. Atoms with two distinct variables become a pair of arcs, each
+revised by the target's ``arc`` query; wider atoms are revised through the
 target's ``supporting`` query at one anchor value, up to the generalized
 arc-consistency (GAC) fixpoint. That fixpoint is the one root of all three
 procedures: ``arc_consistency`` is the root alone, ``hom_search`` searches from it,
@@ -79,10 +79,10 @@ def _arc_table(
 ) -> tuple[list[tuple], dict[str, list[int]], dict[str, list[Rel]]]:
     """Arcs, the arcs each variable's mask feeds, and the wide atoms per variable.
 
-    An atom with two distinct variables becomes one arc per direction:
-    (affected, partner masks, watched, partner masks of watched values, key
-    mask, size-ordered values). Atoms with one distinct variable are
-    exhausted by seeding; wider atoms are listed under each variable.
+    An atom with two distinct variables becomes one arc per direction,
+    (affected, watched, the target's ``arc`` query for that shape and
+    direction). Atoms with one distinct variable are exhausted by seeding;
+    wider atoms are listed under each variable.
     """
     arcs: list[tuple] = []
     arcs_watching: dict[str, list[int]] = {v: [] for v in variables}
@@ -96,10 +96,9 @@ def _arc_table(
             x, y = distinct
             x_pos = tuple(i for i, v in enumerate(args) if v == x)
             y_pos = tuple(i for i, v in enumerate(args) if v == y)
-            m = target.shaped_masks(a.symbol, x_pos, y_pos)
-            arcs.append((y, m.backward, x, m.forward, m.backward_keys, m.backward_by_size))
+            arcs.append((y, x, target.arc(a.symbol, x_pos, y_pos)))
             arcs_watching[x].append(len(arcs) - 1)
-            arcs.append((x, m.forward, y, m.backward, m.forward_keys, m.forward_by_size))
+            arcs.append((x, y, target.arc(a.symbol, y_pos, x_pos)))
             arcs_watching[y].append(len(arcs) - 1)
         else:
             for v in distinct:
@@ -114,39 +113,30 @@ def _run_arcs(
     queue: deque,
     queued: set,
     trail: list,
-    domain_size: int,
     wide: bool,
 ) -> bool:
     """Arc revision across two-variable atoms; old masks on the trail.
 
     A singleton watched domain supports exactly the assigned value's
-    partner mask, so that case is one AND; this is what makes assignments
-    enforce these atoms exactly. A wide watched domain has lost at most
-    domain - |dom| values, so by pigeonhole only affected values with that
-    few partners can have lost them all; they are the only ones checked.
-    Wide revision runs in fixpoints; during search the singleton case
-    carries the pruning.
+    partner mask, so that case is one ``partners`` query and one AND; this
+    is what makes assignments enforce these atoms exactly. A wide watched
+    domain is the arc's ``revise`` query, which the target answers: by a
+    pigeonhole-bounded recheck over listed partner masks, or factor by
+    factor on a product sample. Wide revision runs in fixpoints; during
+    search the singleton case carries the pruning.
     """
     while queue:
         arc_id = queue.popleft()
         queued.discard(arc_id)
-        affected, keyed, watched, from_watched, keys_mask, by_size = arcs[arc_id]
+        affected, watched, arc = arcs[arc_id]
         dom_w = cand[watched]
         dom_a = cand[affected]
         if dom_w & (dom_w - 1) == 0:  # singleton
-            new = dom_a & from_watched.get(dom_w.bit_length() - 1, 0)
+            new = dom_a & arc.partners(dom_w.bit_length() - 1)
         elif not wide:
             continue
         else:
-            new = dom_a & keys_mask
-            threshold = domain_size - dom_w.bit_count()
-            if threshold:
-                for size, b in by_size:
-                    if size > threshold:
-                        break
-                    bit = 1 << b
-                    if new & bit and not keyed[b] & dom_w:
-                        new &= ~bit
+            new = arc.revise(dom_a, dom_w)
         if new != dom_a:
             trail.append((affected, dom_a))
             cand[affected] = new
@@ -178,7 +168,7 @@ def _gac_fixpoint(
     wide = dict.fromkeys(a for listed in atoms_of.values() for a in listed)
     queue = deque(range(len(arcs)))
     while all(cand.values()) and _run_arcs(
-        arcs, arcs_watching, cand, queue, set(queue), [], target.domain_size, True
+        arcs, arcs_watching, cand, queue, set(queue), [], True
     ):
         narrowed: dict[str, None] = {}  # insertion order keeps the requeue order fixed
         for atom in wide:
@@ -233,7 +223,6 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     assignment: dict[str, int] = {}
     unassigned = set(variables)
     relations = target.relations
-    domain_size = target.domain_size
 
     def propagate(var: str, value: int, trail: list) -> bool:
         touched = []
@@ -274,9 +263,7 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
                 touched.append(u)
         touched.append(var)
         queue = deque(dict.fromkeys(i for u in touched for i in arcs_watching[u]))
-        return _run_arcs(
-            arcs, arcs_watching, cand, queue, set(queue), trail, domain_size, False
-        )
+        return _run_arcs(arcs, arcs_watching, cand, queue, set(queue), trail, False)
 
     # the next variable is the least (candidate count, name) among the open
     # ones, popped from a heap: every change to an open variable's mask
@@ -412,10 +399,10 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         for w in variables
         if u != w
     }
-    for affected, _, watched, from_watched, _, _ in arcs:
+    for affected, watched, arc in arcs:
         rows = rel[(watched, affected)]
         for a in rows:
-            rows[a] &= from_watched.get(a, 0)
+            rows[a] &= arc.partners(a)
     if not all(any(rows.values()) for rows in rel.values()):
         return False
     triples: dict[frozenset[str], list[Rel]] = {}

@@ -229,12 +229,20 @@ def run_capped(*argv):
 
 
 def test_solve_over_the_product_budget_exits_2(tmp_path):
-    # level 100 of the robot product would hold 591,070,000 tuples
+    # level 250 of an order joined with 16 parts has 250 * 4000 elements; lt
+    # holds 3 masks plus 4 for each of 249 values with partners, p holds 2:
+    # 1,001 masks of 1,000,000 bits, over the index budget
+    theory = tmp_path / "wide.theory"
+    theory.write_text(
+        "theory order = dense_order { rel lt/2 = base; }\n"
+        "theory parts = partition(16) { rel p/1 = part(1); }\n"
+        "theory both = union(order, parts)\n"
+    )
     inst = tmp_path / "chain.inst"
-    inst.write_text("".join(f"lt(v{i},v{i + 1})\n" for i in range(99)))
-    proc = run_capped("solve", "--theory", THEORY, "--instance", str(inst))
+    inst.write_text("".join(f"lt(v{i},v{i + 1})\n" for i in range(249)))
+    proc = run_capped("solve", "--theory", str(theory), "--instance", str(inst))
     assert proc.returncode == 2
-    assert "budget" in proc.stderr and "591,070,000" in proc.stderr
+    assert "index budget" in proc.stderr and "1,001,000,000 mask bits" in proc.stderr
 
 
 def test_explicit_domains_over_the_budget_exit_2(tmp_path):

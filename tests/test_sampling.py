@@ -227,17 +227,22 @@ def test_product_budget_is_checked_before_materializing(monkeypatch):
     def robot():
         return cs.product_sampling(helpers.order_family(), helpers.colors_family())
 
-    held = sum(len(r) for s in robot().generate(8) for r in s.relations.values())
-    monkeypatch.setattr(sampling, "_MAX_PRODUCT_TUPLES", held)
+    # level 8: |D| = 8 * 16. lt holds 2 projections, the diagonal and, per
+    # direction, two masks for each of 7 values with partners: 31 masks.
+    # min3 holds 3 + 1, and 28 for each of its shapes (a,a,b) and (a,b,a)
+    # with a < b; (a,b,b) has no tuple: 60. p0 and p1 hold 2 each.
+    held = (31 + 60 + 2 + 2) * 8 * 16
+    (b1,), (b2,) = helpers.order_family().generate(8), helpers.colors_family().generate(8)
+    assert sampling._index_bits(b1, b2) == held
+    monkeypatch.setattr(sampling, "_MAX_INDEX_BITS", held)
     assert robot().generate(8)  # the count is exact: a budget of it suffices
-    monkeypatch.setattr(sampling, "_MAX_PRODUCT_TUPLES", held - 1)
+    monkeypatch.setattr(sampling, "_MAX_INDEX_BITS", held - 1)
     monkeypatch.setattr(sampling, "_product_structure", materialized)
-    with pytest.raises(cs.SamplingError, match=f"{held:,} tuples"):
+    with pytest.raises(cs.SamplingError, match=f"{held:,} mask bits.*index budget"):
         robot().generate(8)
     monkeypatch.undo()
-    monkeypatch.setattr(sampling, "_product_structure", materialized)
-    with pytest.raises(cs.SamplingError, match="30,871,296 tuples.*budget"):
-        robot().generate(48)
+    (sample,) = robot().generate(48)  # refused by the old count of 30.9M tuples
+    assert sample.domain_size == 48 * 96
 
 
 def test_product_samples_have_an_element_budget():
@@ -308,6 +313,7 @@ def _assert_matches_reference(b1, b2, rng):
                 assert prod.shaped_masks(name, first, second) == ref.shaped_masks(
                     name, first, second
                 ), (name, first, second)
+                _assert_arcs_match(prod, ref, name, first, second, rng)
         for _ in range(3):
             pool = "xyzw"[: rng.randint(1, arity)]
             args = tuple(rng.choice(pool) for _ in range(arity))
@@ -328,6 +334,45 @@ def _assert_matches_reference(b1, b2, rng):
                         )
                         want = _scan_supporting(buckets, args, value, given)
                         assert got == want, (name, args, position, value)
+
+
+def _mask_pairs(rng, size):
+    """Seeded (affected, watched) mask pairs: empty, single values, two
+    values, sparse, even and dense random masks, and the full domain."""
+    full = (1 << size) - 1
+
+    def mask():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return 1 << rng.randrange(size)
+        if kind == 1:
+            return 1 << rng.randrange(size) | 1 << rng.randrange(size)
+        if kind == 2:
+            return rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+        if kind == 3:
+            return rng.getrandbits(size)
+        if kind == 4:
+            return rng.getrandbits(size) | rng.getrandbits(size)
+        return full
+
+    return [(0, full), (full, 0), (full, full)] + [(mask(), mask()) for _ in range(30)]
+
+
+def _assert_arcs_match(prod, ref, name, watched, affected, rng):
+    """The product's arc query against the pigeonhole arc of the
+    materialized reference and against a scan of its partner masks."""
+    arc, ref_arc = prod.arc(name, watched, affected), ref.arc(name, watched, affected)
+    supports = ref.shaped_masks(name, watched, affected).backward
+    for value in range(ref.domain_size):
+        assert arc.partners(value) == ref_arc.partners(value), (name, watched, value)
+    for dom_a, dom_w in _mask_pairs(rng, ref.domain_size):
+        scan = sum(
+            1 << a for a in range(ref.domain_size)
+            if dom_a >> a & 1 and supports.get(a, 0) & dom_w
+        )
+        assert arc.revise(dom_a, dom_w) == ref_arc.revise(dom_a, dom_w) == scan, (
+            name, watched, dom_a, dom_w
+        )
 
 
 def _random_factor(rng, names, size):

@@ -1,0 +1,70 @@
+"""A large product level builds and solves in bounded memory.
+
+Under pytest this file starts itself as a script in a subprocess capped at
+256 MiB of address space. The script builds level 96 of the robot
+scheduling product (|D| = 18,432, standing for about 5e8 tuples), solves
+an instance with an atom of every shape, so that every index is built, and
+acceptance criterion 9's 20 instances drawn for that level, and checks
+every verdict against the planted plan and every witness with
+``check_witness``. Standalone: ``PYTHONPATH=src python tests/test_scale.py``.
+"""
+
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LEVEL = 96
+CAP = 256 << 20
+
+
+def solve_level(n: int) -> int:
+    import conftest as helpers
+    import cspsampling as cs
+    from test_acceptance import random_scaling_instance
+
+    robot = cs.product_sampling(helpers.order_family(), helpers.colors_family())
+    rng = random.Random(20240817)
+    # criterion 9 draws 20 instances for each of its levels in turn; this
+    # level's come after theirs
+    for level in (4, 8, 16, 32, n):
+        batch = [
+            (random_scaling_instance(robot.signature, level, rng, make_unsat=i % 5 >= 3),
+             i % 5 < 3)
+            for i in range(20)
+        ]
+    (sample,) = robot.generate(n)
+    # first an instance with an atom of every shape, so every index is built
+    v = [f"v{i}" for i in range(n)]
+    shapes = [("lt", (v[0], v[1])), ("min3", (v[0], v[0], v[1])), ("min3", (v[0], v[1], v[0])),
+              ("min3", (v[2], v[3], v[3])), ("min3", (v[4], v[5], v[6])),
+              ("p0", (v[0],)), ("p1", (v[1],))]
+    warm = cs.Instance.of(robot.signature, [cs.Rel(*a) for a in shapes], declared=v)
+    batch.insert(0, (warm, True))
+    for inst, satisfiable in batch:
+        result = cs.solve_via_sampling(robot, inst)
+        if result.satisfiable != satisfiable:
+            print(f"wrong verdict {result.verdict} on {inst}")
+            return 1
+        if satisfiable and not cs.check_witness(inst, sample, result.assignment):
+            print(f"bad witness {result.assignment} for {inst}")
+            return 1
+    return 0
+
+
+def test_level_96_solves_under_a_256_mib_cap():
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
+
+    proc = subprocess.run(
+        [sys.executable, __file__],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+if __name__ == "__main__":
+    sys.exit(solve_level(LEVEL))
