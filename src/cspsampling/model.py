@@ -11,18 +11,21 @@ Solvers make five queries of a relation: ``projection_mask`` and
 two-variable arc query of one shape and direction, whose object answers
 ``revise`` (narrow the affected mask against the watched one) and
 ``partners`` (the affected values paired with one watched value);
-``supporting``, the tuples through one value that support an atom with
-three or more distinct variables; and tuple membership in ``relations``.
+``support_masks``, which revises an atom with three or more distinct
+variables a whole mask at a time (the values each variable takes in the
+tuples within the given masks); and tuple membership in ``relations``.
 Two kinds of structure answer them. A ``Structure`` holds its tuple sets
 and builds the index in a single pass over them; its arcs are
 ``TableArc``s over listed partner masks. A product sample
 (``sampling.ProductStructure``) keeps its two factors and answers every
-query from them, revising arcs from the owning factor's partner masks and
-building a tuple only when a caller iterates a relation.
+query from them, revising arcs from the owning factor's partner masks,
+wide atoms from the owning factor's tuples, and building a tuple only
+when a caller iterates a relation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -214,35 +217,42 @@ class Structure:
 
     # --- solver-facing queries and caches --------------------------------
 
-    def supporting(
-        self,
-        name: str,
-        args: tuple[str, ...],
-        position: int,
-        value: int,
-        masks: Mapping[str, int],
-    ) -> Iterator[dict[str, int]]:
-        """The tuples with ``value`` at ``position`` that support an atom.
+    def support_masks(
+        self, name: str, args: tuple[str, ...], masks: Mapping[str, int]
+    ) -> dict[str, int]:
+        """The values each variable of an atom takes in its supporting tuples.
 
-        An atom ``name(args)`` is supported by a tuple when every variable
-        takes one value across its positions, and that value lies in the
-        variable's mask if ``masks`` has one. Each supporting tuple yields its
-        variable -> value map; the scan reads one bucket of
-        ``tuples_by_value``.
+        A tuple supports the atom ``name(args)`` when every variable takes
+        one value across its positions, and that value lies in the
+        variable's mask if ``masks`` has one; a variable without a mask is
+        unrestricted. Returns one mask per distinct variable, all empty when
+        no tuple supports the atom. The scan reads the ``tuples_by_value``
+        bucket of a variable whose mask is a singleton, or every tuple.
         """
-        for t in self.tuples_by_value(name, position).get(value, ()):
-            values: dict[str, int] = {}
-            for x, val in zip(args, t):
-                known = values.get(x)
-                if known is None:
-                    mask = masks.get(x)
-                    if mask is not None and not mask >> val & 1:
-                        break
-                    values[x] = val
-                elif known != val:
+        distinct, firsts, repeats = atom_layout(args)
+        given = [masks.get(x) for x in distinct]
+        anchor = singleton_anchor(firsts, given)
+        if anchor is None:
+            return dict.fromkeys(distinct, 0)
+        if anchor:
+            position, value = anchor
+            tuples = self.tuples_by_value(name, position).get(value, ())
+        else:
+            tuples = self.relations[name]
+        checks = [(p, m) for p, m in zip(firsts, given) if m is not None]
+        found = [0] * len(distinct)
+        for t in tuples:
+            for i, j in repeats:
+                if t[i] != t[j]:
                     break
             else:
-                yield values
+                for p, m in checks:
+                    if not m >> t[p] & 1:
+                        break
+                else:
+                    for k, p in enumerate(firsts):
+                        found[k] |= 1 << t[p]
+        return dict(zip(distinct, found))
 
     def tuples_by_value(self, name: str, position: int) -> dict[int, tuple]:
         """Tuples of a relation grouped by the value at one position."""
@@ -367,6 +377,33 @@ def mask_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@functools.lru_cache(maxsize=1024)
+def atom_layout(
+    args: tuple[str, ...],
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """An atom's distinct variables, the first position of each, and the
+    (position, first position) pair of every repeated occurrence."""
+    distinct = tuple(dict.fromkeys(args))
+    firsts = tuple(map(args.index, distinct))
+    repeats = tuple((i, args.index(x)) for i, x in enumerate(args) if args.index(x) != i)
+    return distinct, firsts, repeats
+
+
+def singleton_anchor(
+    firsts: Sequence[int], given: Sequence[int | None]
+) -> tuple[int, int] | tuple[()] | None:
+    """Where a support scan can start: None when some mask is empty, the
+    (position, value) of the first variable with a singleton mask, or ()
+    when no mask is a singleton."""
+    anchor: tuple = ()
+    for p, m in zip(firsts, given):
+        if m is not None and not m & (m - 1):
+            if not m:
+                return None
+            anchor = anchor or (p, m.bit_length() - 1)
+    return anchor
 
 
 def disjoint_union(structures: Sequence[Structure]) -> Structure:

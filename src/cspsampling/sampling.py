@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import qf
 from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
-from .model import ShapedMasks, Signature, Structure, mask_bits
+from .model import ShapedMasks, Signature, Structure, atom_layout, mask_bits, singleton_anchor
 
 Decider = Callable[[Instance], bool]
 
@@ -363,41 +363,84 @@ class _ProductRelation(Set):
         }
         return tuple(map(self.lift, projections)), self.lift(diagonal), diagonal, shapes
 
-    def supporting(
-        self, args: tuple[str, ...], position: int, value: int, masks: Mapping[str, int]
-    ) -> Iterator[dict[str, int]]:
-        """``Structure.supporting`` from the owning factor's bucket.
+    def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
+        """``Structure.support_masks`` from the owning factor's tuples.
 
-        A factor tuple passes when each variable has one own value across
-        its positions and every block of equal own values keeps an allowed
-        other coordinate: one shift and one AND per variable, the anchor's
-        coordinate pinned. Only then are the blocks' other coordinates
-        expanded, pairwise distinct.
+        The scan reads the owning factor's bucket of a singleton mask's own
+        value, or every factor tuple. A factor tuple fits when each variable
+        has one own value across its positions; each block of equal own
+        values then gets the other coordinates its variables' masks allow,
+        one shift and one AND per variable. The blocks need pairwise
+        distinct other coordinates, so a block keeps those that leave the
+        other blocks a system of distinct representatives
+        (``_representatives``), and each variable gets its block's kept
+        coordinates back with one shift. No product tuple is formed, so a
+        revision costs O(factor tuples).
         """
-        scale = self.own_scale
-        own0 = value // scale % self.factor.domain_size
-        pin = 1 << (value - own0 * scale)
-        for t in self.factor.tuples_by_value(self.name, position).get(own0, ()):
-            own_of: dict[str, int] = {}
-            for x, o in zip(args, t):
-                if own_of.setdefault(x, o) != o:
+        distinct, firsts, repeats = atom_layout(args)
+        given = [masks.get(x) for x in distinct]
+        anchor = singleton_anchor(firsts, given)
+        if anchor is None:
+            return dict.fromkeys(distinct, 0)
+        scale, factor, row = self.own_scale, self.factor, self.row
+        if anchor:
+            position, value = anchor
+            tuples = factor.tuples_by_value(self.name, position).get(
+                value // scale % self.own_size, ()
+            )
+        else:  # the buckets are cached, where a product factor's tuples are not
+            tuples = itertools.chain.from_iterable(
+                factor.tuples_by_value(self.name, 0).values()
+            )
+        found = [0] * len(distinct)
+        for t in tuples:
+            for i, j in repeats:
+                if t[i] != t[j]:
                     break
             else:
                 allowed: dict[int, int] = {}
-                for x, o in own_of.items():
-                    m = allowed.get(o, self.row)
-                    mask = masks.get(x)
-                    if mask is not None:
-                        m &= mask >> o * scale
-                    allowed[o] = m
-                allowed[own0] &= pin
-                if not all(allowed.values()):
-                    continue
-                choices = itertools.product(*(list(mask_bits(m)) for m in allowed.values()))
-                for choice in choices:
-                    if len(set(choice)) == len(choice):
-                        at = dict(zip(allowed, choice))
-                        yield {x: o * scale + at[o] for x, o in own_of.items()}
+                for p, m in zip(firsts, given):
+                    o = t[p]
+                    a = allowed.get(o, row)
+                    allowed[o] = a if m is None else a & m >> o * scale
+                kept = _representatives(allowed)
+                if kept is not None:
+                    for k, p in enumerate(firsts):
+                        o = t[p]
+                        found[k] |= kept[o] << o * scale
+        return dict(zip(distinct, found))
+
+
+def _representatives(allowed: dict[int, int]) -> Optional[dict[int, int]]:
+    """Per block, the values it takes in some system of distinct
+    representatives of the blocks' masks; None when there is no system.
+
+    With k blocks, a block of at least k values can always pick last, since
+    the other blocks take at most k - 1 of its values. So when every block
+    is that large each keeps its whole mask, and otherwise the systems of
+    the small blocks alone are enumerated, each of them holding fewer than k
+    values: a small block keeps the values it takes in one of them, and a
+    large block the values that one of them leaves free.
+    """
+    k = len(allowed)
+    small = [o for o, m in allowed.items() if m.bit_count() < k]
+    if not small:
+        return allowed
+    kept = dict.fromkeys(small, 0)
+    always = -1  # the values every system of the small blocks takes
+    for choice in itertools.product(*([1 << v for v in mask_bits(allowed[o])] for o in small)):
+        taken = 0
+        for bit in choice:
+            if taken & bit:
+                break
+            taken |= bit
+        else:
+            always &= taken
+            for o, bit in zip(small, choice):
+                kept[o] |= bit
+    if always == -1:
+        return None
+    return {o: kept[o] if o in kept else m & ~always for o, m in allowed.items()}
 
 
 class _ProductArc:
@@ -468,7 +511,7 @@ class ProductStructure(Structure):
     caller iterates (printing, polymorphism checks, equality, expansion).
     The relation index is lifted from the owning factor's index, arcs are
     ``_ProductArc``s over its O(|D_own|) lifted partner masks per shape,
-    and ``supporting`` scans the owning factor's buckets, so building and
+    and ``support_masks`` scans the owning factor's tuples, so building and
     solving cost O(factor tuples) plus O(|D_own|) big-integer mask
     operations per revision instead of O(product tuples) or O(|D|).
     ``projection_mask`` and ``diagonal_mask`` are the inherited methods over
@@ -522,15 +565,10 @@ class ProductStructure(Structure):
         )
         return ShapedMasks.of(forward, backward)
 
-    def supporting(
-        self,
-        name: str,
-        args: tuple[str, ...],
-        position: int,
-        value: int,
-        masks: Mapping[str, int],
-    ) -> Iterator[dict[str, int]]:
-        return self.relations[name].supporting(args, position, value, masks)
+    def support_masks(
+        self, name: str, args: tuple[str, ...], masks: Mapping[str, int]
+    ) -> dict[str, int]:
+        return self.relations[name].support_masks(args, masks)
 
 
 def _product_structure(

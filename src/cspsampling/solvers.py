@@ -11,12 +11,12 @@ All three share one propagation engine over integer bitmasks (element k of
 the target is bit 1 << k). Seeding narrows each variable's candidates to
 the per-position projections of its atoms, or to the diagonal for atoms on
 one variable. Atoms with two distinct variables become a pair of arcs, each
-revised by the target's ``arc`` query; wider atoms are revised through the
-target's ``supporting`` query at one anchor value, up to the generalized
+revised by the target's ``arc`` query; wider atoms are revised a whole mask
+at a time by the target's ``support_masks`` query, up to the generalized
 arc-consistency (GAC) fixpoint. That fixpoint is the one root of all three
 procedures: ``arc_consistency`` is the root alone, ``hom_search`` searches from it,
 forward-checking wide atoms, and ``establish_23_consistency`` seeds its pair
-relations, kept as rows of bitmasks, from it.
+relations, kept as rows of bitmasks, from it and closes them a row at a time.
 
 Per-sample runs are independent: solver calls own their mutable state and
 inputs are shared read-only, so many solves may run concurrently over one
@@ -156,31 +156,36 @@ def _gac_fixpoint(
 ]:
     """Masks at the GAC fixpoint with the arc table of ``_arc_table``, or None.
 
-    Arcs run to their fixpoint, then a sweep over the wide atoms drops each
-    value that no tuple within the masks supports, until a sweep drops
-    nothing. Every step drops only unsupported values, so the result is the
-    unique largest arc-consistent narrowing; None means a mask emptied.
+    Arcs run to their fixpoint, then a sweep over the wide atoms narrows
+    each atom's variables to the values that some tuple within the masks
+    gives them, one ``support_masks`` query per atom, until a sweep drops
+    nothing. An atom whose masks have not changed since its last revision
+    is skipped: the tuples that supported it then support it still. Every
+    step drops only unsupported values, so the result is the unique largest
+    arc-consistent narrowing; None means a mask emptied.
     """
     cand = _seed(target, variables, atoms)
     if not all(cand.values()):
         return None
     arcs, arcs_watching, atoms_of = _arc_table(target, variables, atoms)
-    wide = dict.fromkeys(a for listed in atoms_of.values() for a in listed)
+    wide = {a: tuple(dict.fromkeys(a.args)) for listed in atoms_of.values() for a in listed}
+    revised: dict[Rel, tuple[int, ...]] = {}  # the masks each atom was last revised at
     queue = deque(range(len(arcs)))
     while all(cand.values()) and _run_arcs(
         arcs, arcs_watching, cand, queue, set(queue), [], True
     ):
         narrowed: dict[str, None] = {}  # insertion order keeps the requeue order fixed
-        for atom in wide:
-            for u in dict.fromkeys(atom.args):
-                position = atom.args.index(u)
-                for value in mask_bits(cand[u]):
-                    supports = target.supporting(
-                        atom.symbol, atom.args, position, value, cand
-                    )
-                    if next(supports, None) is None:
-                        cand[u] ^= 1 << value
-                        narrowed[u] = None
+        for atom, distinct in wide.items():
+            if revised.get(atom) == tuple(cand[u] for u in distinct):
+                continue
+            supports = target.support_masks(atom.symbol, atom.args, cand)
+            for u, mask in supports.items():
+                if mask != cand[u]:
+                    if not mask:
+                        return None
+                    cand[u] = mask
+                    narrowed[u] = None
+            revised[atom] = tuple(supports.values())
         if not narrowed:
             return cand, arcs, arcs_watching, atoms_of
         queue = deque(dict.fromkeys(i for u in narrowed for i in arcs_watching[u]))
@@ -194,9 +199,11 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     value disequality on the assignment. Search assigns the variable with
     the smallest candidate set first (ties by name), values in ascending
     order. The search starts from the GAC fixpoint of the shared engine;
-    during search, wider atoms are forward-checked through ``supporting`` at
-    the value just assigned, and two-variable atoms are enforced exactly
-    whenever either side collapses to a single value. The search keeps its own stack, so
+    during search, wider atoms are forward-checked by one ``support_masks``
+    query with the assigned variables' singleton masks, which narrows each
+    open variable to the values some tuple through the assignment gives it,
+    and two-variable atoms are enforced exactly whenever either side
+    collapses to a single value. The search keeps its own stack, so
     instance depth is not bounded by recursion.
     """
     validate(inst)
@@ -245,13 +252,7 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
                 continue
             # assigned variables keep singleton masks; open ones are unfiltered
             fixed = {x: cand[x] for x in atom.args if x in assignment}
-            allowed = dict.fromkeys(open_vars, 0)
-            supports = target.supporting(
-                atom.symbol, atom.args, atom.args.index(var), value, fixed
-            )
-            for values in supports:
-                for u in open_vars:
-                    allowed[u] |= 1 << values[u]
+            allowed = target.support_masks(atom.symbol, atom.args, fixed)
             for u in open_vars:
                 new = cand[u] & allowed[u]
                 if new == cand[u]:
@@ -378,11 +379,16 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
     pair. A value pair is pruned when some third variable admits no value
     compatible with both sides and with every atom living inside the
     triple, or when an atom spanning more than three variables has no
-    supporting tuple extending the pair. The GAC seeding removes nothing
-    the closure keeps, since every value of a consistent closure has GAC
-    support. On targets with a ternary near-unanimity polymorphism a
-    consistent outcome implies satisfiability; elsewhere it is a sound
-    filter only.
+    supporting tuple extending the pair. A row is revised whole: the row
+    of x = a on y is ANDed, for each third variable z without a triple
+    atom on {x, y, z}, with the OR of the rows on y of the z-values paired
+    with a. Only the values that survive are checked one at a time, and
+    only against triple atoms and the wider atoms (through
+    ``support_masks``). The closure is the unique largest one, whatever
+    the order of revision. The GAC seeding removes nothing the closure
+    keeps, since every value of a consistent closure has GAC support. On
+    targets with a ternary near-unanimity polymorphism a consistent
+    outcome implies satisfiability; elsewhere it is a sound filter only.
     """
     atoms = _relation_atoms(inst, "(2,3)-consistency")
     if inst.has_bot():
@@ -421,23 +427,16 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
             for atom in extra
         )
 
-    def supported(x: str, a: int, y: str, b: int) -> bool:
-        masks = {x: 1 << a, y: 1 << b}
-        for z in variables:
-            if z == x or z == y:
-                continue
-            masks[z] = both = rel[(x, z)].get(a, 0) & rel[(y, z)].get(b, 0)
-            extra = triples.get(frozenset((x, y, z))) if triples else None
-            if extra and not any(holds(extra, {x: a, y: b, z: w}) for w in mask_bits(both)):
+    def supported(x: str, a: int, y: str, b: int, bound: list, wide: list) -> bool:
+        for z, extra in bound:
+            both = rel[(x, z)][a] & rel[(y, z)][b]
+            if not any(holds(extra, {x: a, y: b, z: w}) for w in mask_bits(both)):
                 return False
-            if not both:
-                return False
-        for u, value in ((x, a), (y, b)):
-            for atom in wide_of[u]:
-                supports = target.supporting(
-                    atom.symbol, atom.args, atom.args.index(u), value, masks
-                )
-                if next(supports, None) is None:
+        if wide:
+            masks = {z: rel[(x, z)][a] & rel[(y, z)][b] for z in variables if z not in (x, y)}
+            masks[x], masks[y] = 1 << a, 1 << b
+            for atom in wide:
+                if not any(target.support_masks(atom.symbol, atom.args, masks).values()):
                     return False
         return True
 
@@ -449,13 +448,32 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         queued.discard(key)
         x, y = key
         rows, cols = rel[key], rel[(y, x)]
+        thirds = [z for z in variables if z != x and z != y]
+        free = [z for z in thirds if frozenset((x, y, z)) not in triples]
+        bound = [(z, triples[frozenset((x, y, z))]) for z in thirds if z not in free]
+        wide = list(dict.fromkeys(wide_of[x] + wide_of[y]))
         changed = False
         for a, row in rows.items():
-            for b in mask_bits(row):
-                if not supported(x, a, y, b):
-                    rows[a] ^= 1 << b
+            new = row
+            # b keeps a partner of a on z iff some w paired with a has b as a partner
+            for z in free:
+                if not new:
+                    break
+                reach, through = 0, rel[(z, y)]
+                for w in mask_bits(rel[(x, z)][a]):
+                    reach |= through[w]
+                    if new & reach == new:
+                        break
+                new &= reach
+            if new and (bound or wide):
+                for b in mask_bits(new):
+                    if not supported(x, a, y, b, bound, wide):
+                        new ^= 1 << b
+            if new != row:
+                rows[a] = new
+                for b in mask_bits(row ^ new):
                     cols[b] ^= 1 << a
-                    changed = True
+                changed = True
         if changed:
             if not any(rows.values()):
                 return False

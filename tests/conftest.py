@@ -14,6 +14,7 @@ import random
 import pytest
 
 import cspsampling as cs
+from cspsampling.model import mask_bits
 
 MIN3_DEF = "(x1 = x2 & !(x3 < x2)) | (x1 = x3 & !(x2 < x3))"
 
@@ -172,6 +173,188 @@ def materialized_product(b1: cs.Structure, b2: cs.Structure) -> cs.Structure:
                     rel.add(tuple(assign[p] * size2 + b for b, p in zip(t, pattern)))
         relations[name] = rel
     return cs.Structure(signature, b1.domain_size * size2, relations, labels)
+
+
+def scan_support_masks(tuples, args, masks):
+    """``support_masks`` by its definition, over listed tuples: the values
+    each variable takes in the tuples that give it one value within its
+    mask (a variable without a mask is unrestricted)."""
+    found = dict.fromkeys(args, 0)
+    for t in tuples:
+        values: dict = {}
+        if all(
+            values.setdefault(x, e) == e and (x not in masks or masks[x] >> e & 1)
+            for x, e in zip(args, t)
+        ):
+            for x, e in values.items():
+                found[x] |= 1 << e
+    return found
+
+
+# --- the per-value references of the whole-mask solver steps ------------------
+#
+# The solvers revise a wide atom (three or more distinct variables) with one
+# ``support_masks`` query and close (2,3)-consistency a row at a time. The
+# functions below keep the per-value forms they replaced: a value survives
+# while some listed tuple through it supports the atom, and a value pair
+# while ``supported`` finds it a partner on every third variable. Both
+# fixpoints are unique, so the two forms must agree exactly.
+
+
+class _Buckets:
+    """The listed tuples of a structure's relations by the value at one
+    position, built once per reference run."""
+
+    def __init__(self, target):
+        self.target = target
+        self.cache: dict = {}
+
+    def supporting(self, name, args, position, value, masks):
+        """The variable maps of the tuples with ``value`` at ``position``
+        that give each variable one value within its mask."""
+        key = (name, position)
+        if key not in self.cache:
+            grouped: dict = {}
+            for t in self.target.relations[name]:
+                grouped.setdefault(t[position], []).append(t)
+            self.cache[key] = grouped
+        for t in self.cache[key].get(value, ()):
+            values: dict = {}
+            if all(
+                values.setdefault(x, e) == e and (x not in masks or masks[x] >> e & 1)
+                for x, e in zip(args, t)
+            ):
+                yield values
+
+
+def reference_gac_fixpoint(target, variables, atoms):
+    """``solvers._gac_fixpoint`` with the per-value wide sweep: each value
+    of each variable of a wide atom is dropped when no listed tuple through
+    it supports the atom."""
+    from collections import deque
+
+    from cspsampling import solvers
+
+    buckets = _Buckets(target)
+    cand = solvers._seed(target, variables, atoms)
+    if not all(cand.values()):
+        return None
+    arcs, arcs_watching, atoms_of = solvers._arc_table(target, variables, atoms)
+    wide = dict.fromkeys(a for listed in atoms_of.values() for a in listed)
+    queue = deque(range(len(arcs)))
+    while all(cand.values()) and solvers._run_arcs(
+        arcs, arcs_watching, cand, queue, set(queue), [], True
+    ):
+        narrowed: dict = {}
+        for atom in wide:
+            for u in dict.fromkeys(atom.args):
+                position = atom.args.index(u)
+                for value in mask_bits(cand[u]):
+                    supports = buckets.supporting(atom.symbol, atom.args, position, value, cand)
+                    if next(supports, None) is None:
+                        cand[u] ^= 1 << value
+                        narrowed[u] = None
+        if not narrowed:
+            return cand, arcs, arcs_watching, atoms_of
+        queue = deque(dict.fromkeys(i for u in narrowed for i in arcs_watching[u]))
+    return None
+
+
+def reference_support_masks(target, name, args, masks):
+    """``support_masks`` through ``supporting`` at the first variable with a
+    singleton mask, the forward check's per-value form; every listed tuple
+    when no mask is a singleton."""
+    found = dict.fromkeys(args, 0)
+    anchor = next((x for x in args if x in masks and masks[x].bit_count() == 1), None)
+    if anchor is None:
+        return scan_support_masks(target.relations[name], args, masks)
+    position, value = args.index(anchor), masks[anchor].bit_length() - 1
+    for values in _Buckets(target).supporting(name, args, position, value, masks):
+        for x, e in values.items():
+            found[x] |= 1 << e
+    return found
+
+
+def reference_23_consistency(inst, target):
+    """``establish_23_consistency`` checking one value pair at a time: a
+    pair goes when a third variable leaves it no common partner (one that
+    also satisfies the triple atoms on the three), or when a wider atom on
+    either side has no supporting tuple extending it."""
+    from collections import deque
+
+    atoms = [a for a in inst.atoms if isinstance(a, cs.Rel)]
+    if inst.has_bot():
+        return False
+    variables = inst.variables
+    fixpoint = reference_gac_fixpoint(target, variables, atoms)
+    if fixpoint is None:
+        return False
+    cand, arcs, _, atoms_of = fixpoint
+    buckets = _Buckets(target)
+    rel = {
+        (u, w): dict.fromkeys(mask_bits(cand[u]), cand[w])
+        for u in variables
+        for w in variables
+        if u != w
+    }
+    for affected, watched, arc in arcs:
+        rows = rel[(watched, affected)]
+        for a in rows:
+            rows[a] &= arc.partners(a)
+    if not all(any(rows.values()) for rows in rel.values()):
+        return False
+    triples: dict = {}
+    for atom in atoms:
+        if len(set(atom.args)) == 3:
+            triples.setdefault(frozenset(atom.args), []).append(atom)
+    wide_of = {v: [a for a in atoms_of[v] if len(set(a.args)) > 3] for v in variables}
+
+    def holds(extra, values):
+        return all(tuple(values[v] for v in a.args) in target.relations[a.symbol] for a in extra)
+
+    def supported(x, a, y, b):
+        masks = {x: 1 << a, y: 1 << b}
+        for z in variables:
+            if z == x or z == y:
+                continue
+            masks[z] = both = rel[(x, z)][a] & rel[(y, z)][b]
+            extra = triples.get(frozenset((x, y, z)))
+            if extra and not any(holds(extra, {x: a, y: b, z: w}) for w in mask_bits(both)):
+                return False
+            if not both:
+                return False
+        for u, value in ((x, a), (y, b)):
+            for atom in wide_of[u]:
+                supports = buckets.supporting(
+                    atom.symbol, atom.args, atom.args.index(u), value, masks
+                )
+                if next(supports, None) is None:
+                    return False
+        return True
+
+    pair_keys = list(itertools.combinations(variables, 2))
+    queue = deque(pair_keys)
+    queued = set(queue)
+    while queue:
+        key = queue.popleft()
+        queued.discard(key)
+        x, y = key
+        rows, cols = rel[key], rel[(y, x)]
+        changed = False
+        for a, row in rows.items():
+            for b in mask_bits(row):
+                if not supported(x, a, y, b):
+                    rows[a] ^= 1 << b
+                    cols[b] ^= 1 << a
+                    changed = True
+        if changed:
+            if not any(rows.values()):
+                return False
+            for other in pair_keys:
+                if other != key and (x in other or y in other) and other not in queued:
+                    queue.append(other)
+                    queued.add(other)
+    return True
 
 
 def enumerate_instances(signature, pool, max_atoms, with_equalities=True):

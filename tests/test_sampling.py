@@ -269,17 +269,50 @@ def _implicit(b1, b2):
     return sampling._product_structure(b1, b2, signature, set(b1.signature.names()))
 
 
-def _scan_supporting(buckets, args, value, masks):
-    """Variable maps of the tuples in one bucket that support an atom."""
-    found = []
-    for t in buckets.get(value, ()):
-        values = {}
-        if all(
-            values.setdefault(x, e) == e and (x not in masks or masks[x] >> e & 1)
-            for x, e in zip(args, t)
-        ):
-            found.append(sorted(values.items()))
-    return sorted(found)
+def _support_mask_cases(rng, b1, b2, owner, arity):
+    """Atoms of one relation and masks for their variables, drawn so that
+    every branch of the product's ``support_masks`` runs.
+
+    The atoms have 1 to min(arity, 4) distinct variables, some repeated.
+    Each variable's mask is absent or empty, a singleton, two values inside
+    one own row, sparse, dense, the whole domain, or a few columns: the
+    elements whose other coordinate is one of one or two values. Column
+    masks leave the blocks of a factor tuple one or two other coordinates,
+    which sends three-block tuples through the exact Hall check.
+    """
+    size1, size2 = b1.domain_size, b2.domain_size
+    size = size1 * size2
+    own_size, other_size = (size1, size2) if owner is b1 else (size2, size1)
+
+    def element(own, other):
+        return own * size2 + other if owner is b1 else other * size2 + own
+
+    def mask():
+        kind = rng.randrange(8)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return 1 << rng.randrange(size)
+        if kind == 2:
+            own = rng.randrange(own_size)
+            return 1 << element(own, rng.randrange(other_size)) | 1 << element(
+                own, rng.randrange(other_size)
+            )
+        if kind == 3:
+            return rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+        if kind == 4:
+            return rng.getrandbits(size) | rng.getrandbits(size)
+        if kind == 5:
+            return (1 << size) - 1
+        columns = rng.sample(range(other_size), min(other_size, rng.randint(1, 2)))
+        return sum(1 << element(o, c) for o in range(own_size) for c in columns)
+
+    pools = ["xyzw"[:k] for k in range(1, min(arity, 4) + 1)]
+    for pool in pools + [rng.choice(pools) for _ in range(3)]:
+        args = list(pool) + [rng.choice(pool) for _ in range(arity - len(pool))]
+        rng.shuffle(args)
+        for _ in range(8):
+            yield tuple(args), {x: mask() for x in pool if rng.random() < 0.8}
 
 
 def _assert_matches_reference(b1, b2, rng):
@@ -314,26 +347,11 @@ def _assert_matches_reference(b1, b2, rng):
                     name, first, second
                 ), (name, first, second)
                 _assert_arcs_match(prod, ref, name, first, second, rng)
-        for _ in range(3):
-            pool = "xyzw"[: rng.randint(1, arity)]
-            args = tuple(rng.choice(pool) for _ in range(arity))
-            masks = {
-                x: rng.getrandbits(size) | rng.getrandbits(size)
-                for x in pool
-                if rng.random() < 0.7  # the others are absent: unconstrained
-            }
-            for position in range(arity):
-                buckets = {}
-                for t in expected:
-                    buckets.setdefault(t[position], []).append(t)
-                for value in range(size):
-                    for given in (masks, {}):
-                        got = sorted(
-                            sorted(m.items())
-                            for m in prod.supporting(name, args, position, value, given)
-                        )
-                        want = _scan_supporting(buckets, args, value, given)
-                        assert got == want, (name, args, position, value)
+        owner = b1 if name in b1.signature else b2
+        for args, masks in _support_mask_cases(rng, b1, b2, owner, arity):
+            want = helpers.scan_support_masks(expected, args, masks)
+            assert prod.support_masks(name, args, masks) == want, (name, args, masks)
+            assert ref.support_masks(name, args, masks) == want, (name, args, masks)
 
 
 def _mask_pairs(rng, size):

@@ -3,10 +3,11 @@
 Under pytest this file starts itself as a script in a subprocess capped at
 256 MiB of address space. The script builds level 96 of the robot
 scheduling product (|D| = 18,432, standing for about 5e8 tuples), solves
-an instance with an atom of every shape, so that every index is built, and
-acceptance criterion 9's 20 instances drawn for that level, and checks
-every verdict against the planted plan and every witness with
-``check_witness``. Standalone: ``PYTHONPATH=src python tests/test_scale.py``.
+an instance with an atom of every shape, so that every index is built,
+acceptance criterion 9's 20 instances drawn for that level, a satisfiable
+three-variable ``min3`` and a planted instance made unsatisfiable by
+``min3(w,x,y) & lt(x,w)``, and checks every verdict against the planted
+plan and every witness with ``check_witness``. Standalone: ``PYTHONPATH=src python tests/test_scale.py``.
 """
 
 import random
@@ -43,6 +44,16 @@ def solve_level(n: int) -> int:
               ("p0", (v[0],)), ("p1", (v[1],))]
     warm = cs.Instance.of(robot.signature, [cs.Rel(*a) for a in shapes], declared=v)
     batch.insert(0, (warm, True))
+    # a wide atom whose two open variables range over the whole level, and a
+    # contradiction that only the wide atom's revision finds:
+    # min3(w,x,y) & lt(x,w) says min(x,y) <= x < w
+    batch.append((cs.Instance.of(robot.signature, [cs.Rel("min3", tuple(v[:3]))], declared=v),
+                  True))
+    planted = random_scaling_instance(robot.signature, n, random.Random(96), make_unsat=False)
+    w, x, y = random.Random(69).sample(v, 3)
+    deep = [cs.Rel("min3", (w, x, y)), cs.Rel("lt", (x, w))]
+    batch.append((cs.Instance.of(robot.signature, planted.atoms + tuple(deep), declared=v),
+                  False))
     for inst, satisfiable in batch:
         result = cs.solve_via_sampling(robot, inst)
         if result.satisfiable != satisfiable:

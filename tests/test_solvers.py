@@ -437,3 +437,111 @@ def test_hom_search_refutes_a_contradiction_inside_a_wide_atom(robot_theory):
                 signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+def _reference_corpus():
+    """Seeded (instance, target) pairs for the per-value references: robot
+    product levels (min3 gives triple atoms), a plain structure with a
+    ternary and a 4-ary relation, and products of random factors with a
+    4-ary relation, whose wide atoms take the exact Hall check."""
+    import cspsampling.sampling as sampling
+
+    rng = random.Random(20261018)
+    robot = cs.product_sampling(helpers.order_family(), helpers.colors_family())
+    for _ in range(150):
+        inst = helpers.random_instance(robot.signature, rng, max_vars=5, max_atoms=7,
+                                       neq_ok=False)
+        contracted, _ = cs.contract_equalities(inst)
+        if not contracted.has_bot():
+            yield contracted, robot.generate(len(contracted.variables))[0]
+    sig = Signature([("T", 3), ("Q", 4), ("E", 2)])
+    for _ in range(30):
+        size = rng.randint(2, 4)
+        target = Structure(sig, size, {
+            name: {tuple(rng.randrange(size) for _ in range(arity))
+                   for _ in range(rng.randint(2, 3 * size * size))}
+            for name, arity in sig
+        })
+        for _ in range(8):
+            inst = helpers.random_instance(sig, rng, max_vars=5, max_atoms=5, neq_ok=False)
+            contracted, _ = cs.contract_equalities(inst)
+            if not contracted.has_bot():
+                yield contracted, target
+    sig1, sig2 = Signature([("Q", 4), ("T", 3)]), Signature([("U", 1), ("F", 2)])
+    for _ in range(30):
+        factors = []
+        for fsig in (sig1, sig2):
+            size = rng.randint(1, 3)
+            factors.append(Structure(fsig, size, {
+                name: {tuple(rng.randrange(size) for _ in range(arity))
+                       for _ in range(rng.randint(1, 8))}
+                for name, arity in fsig
+            }))
+        signature = sig1.union(sig2)
+        target = sampling._product_structure(*factors, signature, set(sig1.names()))
+        for _ in range(6):
+            inst = helpers.random_instance(signature, rng, max_vars=4, max_atoms=5,
+                                           neq_ok=False)
+            contracted, _ = cs.contract_equalities(inst)
+            if not contracted.has_bot():
+                yield contracted, target
+
+
+def test_whole_mask_steps_match_their_per_value_references(monkeypatch):
+    from cspsampling import solvers
+
+    corpus = list(_reference_corpus())
+    states, closures, witnesses = [], [], []
+    for inst, target in corpus:
+        state = cs.arc_consistency(inst, target)
+        states.append(None if state is None else state.domains)
+        closures.append(cs.establish_23_consistency(inst, target))
+        witnesses.append(cs.hom_search(inst, target).assignment)
+    counts = [sum(x is not None for x in xs) for xs in (states, witnesses)]
+    assert counts[0] > 100 and counts[1] > 50 and 50 < sum(closures) < len(corpus)
+
+    def per_value(target, name, args, masks):
+        return helpers.reference_support_masks(target, name, args, masks)
+
+    monkeypatch.setattr(solvers, "_gac_fixpoint", helpers.reference_gac_fixpoint)
+    monkeypatch.setattr(Structure, "support_masks", per_value)
+    monkeypatch.setattr(cs.ProductStructure, "support_masks", per_value)
+    for (inst, target), state, closure, witness in zip(corpus, states, closures, witnesses):
+        reference = cs.arc_consistency(inst, target)
+        assert state == (None if reference is None else reference.domains), inst.atoms
+        assert closure == helpers.reference_23_consistency(inst, target), inst.atoms
+        assert witness == cs.hom_search(inst, target).assignment, inst.atoms
+
+
+def test_gac_fixpoint_makes_one_wide_query_per_atom_per_sweep(monkeypatch, robot_theory):
+    from cspsampling import solvers
+
+    calls, sweeps = [], []
+    query = cs.ProductStructure.support_masks
+    run_arcs = solvers._run_arcs
+
+    def counted_query(self, name, args, masks):
+        calls.append(args)
+        return query(self, name, args, masks)
+
+    def counted_arcs(*args):  # each pass that the arcs survive starts a sweep
+        passed = run_arcs(*args)
+        if passed:
+            sweeps.append(None)
+        return passed
+
+    monkeypatch.setattr(cs.ProductStructure, "support_masks", counted_query)
+    monkeypatch.setattr(solvers, "_run_arcs", counted_arcs)
+    rng = random.Random(5)
+    total = 0
+    for i in range(30):
+        inst = _deep_unsat_robot_instance(robot_theory.signature, rng, (5, 6, 7)[i % 3])
+        contracted, _ = cs.contract_equalities(inst)
+        wide = {a for a in contracted.atoms if len(set(a.args)) > 2}
+        calls.clear()
+        sweeps.clear()
+        (target,) = robot_theory.generate(len(contracted.variables))
+        assert cs.arc_consistency(contracted, target) is None
+        assert len(calls) <= len(wide) * len(sweeps)
+        total += len(calls)
+    assert total >= 30
