@@ -7,7 +7,8 @@ an instance with an atom of every shape, so that every index is built,
 acceptance criterion 9's 20 instances drawn for that level, a satisfiable
 three-variable ``min3`` and a planted instance made unsatisfiable by
 ``min3(w,x,y) & lt(x,w)``, and checks every verdict against the planted
-plan and every witness with ``check_witness``. Standalone: ``PYTHONPATH=src python tests/test_scale.py``.
+plan and every witness with ``check_witness``. Standalone:
+``PYTHONPATH=src python tests/test_scale.py``.
 """
 
 import random

@@ -500,12 +500,9 @@ def test_whole_mask_steps_match_their_per_value_references(monkeypatch):
     counts = [sum(x is not None for x in xs) for xs in (states, witnesses)]
     assert counts[0] > 100 and counts[1] > 50 and 50 < sum(closures) < len(corpus)
 
-    def per_value(target, name, args, masks):
-        return helpers.reference_support_masks(target, name, args, masks)
-
     monkeypatch.setattr(solvers, "_gac_fixpoint", helpers.reference_gac_fixpoint)
-    monkeypatch.setattr(Structure, "support_masks", per_value)
-    monkeypatch.setattr(cs.ProductStructure, "support_masks", per_value)
+    monkeypatch.setattr(Structure, "support_masks", helpers.reference_support_masks)
+    monkeypatch.setattr(cs.ProductStructure, "support_masks", helpers.reference_support_masks)
     for (inst, target), state, closure, witness in zip(corpus, states, closures, witnesses):
         reference = cs.arc_consistency(inst, target)
         assert state == (None if reference is None else reference.domains), inst.atoms
