@@ -16,7 +16,8 @@ at a time by the target's ``support_masks`` query, up to the generalized
 arc-consistency (GAC) fixpoint. That fixpoint is the one root of all three
 procedures: ``arc_consistency`` is the root alone, ``hom_search`` searches from it,
 forward-checking wide atoms, and ``establish_23_consistency`` seeds its pair
-relations, kept as rows of bitmasks, from it and closes them a row at a time.
+relations, kept as one bit matrix per ordered pair of variables, from it and
+closes them a whole matrix at a time.
 
 Per-sample runs are independent: solver calls own their mutable state and
 inputs are shared read-only, so many solves may run concurrently over one
@@ -34,6 +35,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .formulas import Bot, Eq, Instance, Neq, Rel, contract_equalities, validate
 from .model import Structure, mask_bits
 from .sampling import SampleFamily
+
+_MAX_PAIR_BITS = 1_000_000_000  # pair-matrix and transpose-mask bits of one (2,3) closure
 
 
 class SolverError(ValueError):
@@ -371,45 +374,109 @@ def arc_consistency(inst: Instance, target: Structure) -> Optional[ACState]:
     return ACState({v: frozenset(mask_bits(m)) for v, m in fixpoint[0].items()})
 
 
+def _repeat(pattern: int, period: int, count: int) -> int:
+    """``count`` copies of a pattern narrower than ``period``, period bits apart."""
+    mask, copies = (pattern if count else 0), 1
+    while copies < count:
+        more = min(copies, count - copies)
+        mask |= (mask & ((1 << more * period) - 1)) << copies * period
+        copies += more
+    return mask
+
+
+_SWAPS: dict[int, tuple[tuple[int, int], ...]] = {}  # by side, for sides up to 1024
+
+
+def _transpose_swaps(side: int) -> tuple[tuple[int, int], ...]:
+    """The (shift, mask) delta swaps that transpose a side x side bit matrix.
+
+    Bit a * side + b holds entry (a, b), and side is a power of two. The
+    swap for bit j of an index exchanges that bit between row and column:
+    it moves the entries whose column has bit j and whose row lacks it
+    ``(side - 1) * j`` positions up, and those there down. The masks of
+    sides up to 1024 are kept, under 2 MB in all; a larger side's masks,
+    log2(side) ints of side**2 bits each, are built anew for each call.
+    """
+    swaps = _SWAPS.get(side)
+    if swaps is None:
+        steps = []
+        j = 1
+        while j < side:
+            row = _repeat(((1 << j) - 1) << j, 2 * j, side // (2 * j))
+            block = _repeat(row, side, j)  # j rows, each with column bit j set
+            steps.append(((side - 1) * j, _repeat(block, 2 * j * side, side // (2 * j))))
+            j <<= 1
+        swaps = tuple(steps)
+        if side <= 1024:
+            _SWAPS[side] = swaps
+    return swaps
+
+
+def _transpose(matrix: int, swaps: tuple[tuple[int, int], ...]) -> int:
+    """The transpose of a square bit matrix, by its ``_transpose_swaps``."""
+    for shift, mask in swaps:
+        t = (matrix ^ (matrix >> shift)) & mask
+        matrix ^= t | (t << shift)
+    return matrix
+
+
 def establish_23_consistency(inst: Instance, target: Structure) -> bool:
     """(2,3)-consistency closure; True means no pair relation emptied.
 
-    Keeps, for every ordered pair of variables, one row bitmask of partner
-    values per value, seeded from the GAC fixpoint and the atoms on the
-    pair. A value pair is pruned when some third variable admits no value
-    compatible with both sides and with every atom living inside the
-    triple, or when an atom spanning more than three variables has no
-    supporting tuple extending the pair. A row is revised whole: the row
-    of x = a on y is ANDed, for each third variable z without a triple
-    atom on {x, y, z}, with the OR of the rows on y of the z-values paired
-    with a. Only the values that survive are checked one at a time, and
-    only against triple atoms and the wider atoms (through
-    ``support_masks``). The closure is the unique largest one, whatever
-    the order of revision. The GAC seeding removes nothing the closure
-    keeps, since every value of a consistent closure has GAC support. On
-    targets with a ternary near-unanimity polymorphism a consistent
-    outcome implies satisfiability; elsewhere it is a sound filter only.
+    Keeps, for every ordered pair of variables (u, w), one bit matrix: the
+    pair u = a, w = b is bit a * side + b, where side is the target's size
+    padded to a power of two. The matrices are seeded from the GAC fixpoint
+    and the atoms on the pair. A value pair is pruned when some third
+    variable admits no value compatible with both sides and with every atom
+    living inside the triple, or when an atom spanning more than three
+    variables has no supporting tuple extending the pair. A pair matrix is
+    revised whole: for each third variable z without a triple atom on
+    {x, y, z}, the matrix of (x, y) is ANDed with the composition of those
+    of (x, z) and (z, y), formed one z-value w at a time by placing row w
+    of (z, y) at every row whose (x, z) row holds w. Only the pairs that
+    survive are checked one at a time, against triple atoms and wider atoms
+    through ``support_masks``; the matrix of (y, x) is then the transpose.
+    The closure is the unique largest one, whatever the order of revision.
+    The GAC seeding removes nothing the closure keeps, since every value of
+    a consistent closure has GAC support. On targets with a ternary
+    near-unanimity polymorphism a consistent outcome implies
+    satisfiability; elsewhere it is a sound filter only. When the matrices
+    and the log2(side) transpose masks of side**2 bits would hold more than
+    ``_MAX_PAIR_BITS`` bits in all, SolverError is raised before any is
+    built.
     """
     atoms = _relation_atoms(inst, "(2,3)-consistency")
     if inst.has_bot():
         return False
     variables = inst.variables
+    size = target.domain_size
+    side = 1 << (size - 1).bit_length()
+    # one matrix per ordered pair, and log2(side) transpose masks as large
+    bits = (len(variables) * (len(variables) - 1) + side.bit_length() - 1) * side * side
+    if bits > _MAX_PAIR_BITS:
+        raise SolverError(
+            f"(2,3)-consistency on {len(variables)} variables over {size:,} elements "
+            f"needs {bits:,} bits of pair matrices and transpose masks, over the pair "
+            f"budget of {_MAX_PAIR_BITS:,}"
+        )
     fixpoint = _gac_fixpoint(target, variables, atoms)
     if fixpoint is None:
         return False
     cand, arcs, _, atoms_of = fixpoint
-    # rel[(u, w)][a] is the mask of w-values still paired with u = a
-    rel = {
-        (u, w): dict.fromkeys(mask_bits(cand[u]), cand[w])
+    values = {u: list(mask_bits(cand[u])) for u in variables}
+    spread = {u: sum(1 << a * side for a in values[u]) for u in variables}
+    # pair[(u, w)] has bit a * side + b while u = a, w = b is still a pair
+    pair = {
+        (u, w): spread[u] * cand[w]
         for u in variables
         for w in variables
         if u != w
     }
     for affected, watched, arc in arcs:
-        rows = rel[(watched, affected)]
-        for a in rows:
-            rows[a] &= arc.partners(a)
-    if not all(any(rows.values()) for rows in rel.values()):
+        pair[(watched, affected)] &= sum(
+            arc.partners(a) << a * side for a in values[watched]
+        )
+    if not all(pair.values()):
         return False
     triples: dict[frozenset[str], list[Rel]] = {}
     for atom in atoms:
@@ -419,26 +486,41 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         v: [atom for atom in atoms_of[v] if len(set(atom.args)) > 3]
         for v in variables
     }
-    relations = target.relations
+    row_full = (1 << side) - 1
+    stride = _repeat(1, side, size)  # bit a * side for every row a
+    swaps = _transpose_swaps(side)
 
-    def holds(extra: list[Rel], values: dict[str, int]) -> bool:
-        return all(
-            tuple(values[v] for v in atom.args) in relations[atom.symbol]
-            for atom in extra
-        )
+    def rows(matrix: int) -> list[int]:
+        return [(matrix >> a * side) & row_full for a in range(size)]
 
-    def supported(x: str, a: int, y: str, b: int, bound: list, wide: list) -> bool:
-        for z, extra in bound:
-            both = rel[(x, z)][a] & rel[(y, z)][b]
-            if not any(holds(extra, {x: a, y: b, z: w}) for w in mask_bits(both)):
-                return False
-        if wide:
-            masks = {z: rel[(x, z)][a] & rel[(y, z)][b] for z in variables if z not in (x, y)}
-            masks[x], masks[y] = 1 << a, 1 << b
-            for atom in wide:
-                if not any(target.support_masks(atom.symbol, atom.args, masks).values()):
-                    return False
-        return True
+    def unsupported(x: str, y: str, new: int, thirds: list, bound: list, wide: list) -> int:
+        """The pairs of ``new`` on (x, y) that a triple or wider atom refutes."""
+        x_rows = {z: rows(pair[(x, z)]) for z in thirds}
+        y_rows = {z: rows(pair[(y, z)]) for z in thirds}
+        dropped = 0
+        for a, row in enumerate(rows(new)):
+            for b in mask_bits(row):
+                masks = {x: 1 << a, y: 1 << b}
+                for z, extra in bound:
+                    both = x_rows[z][a] & y_rows[z][b]
+                    for atom in extra:
+                        if not both:
+                            break
+                        masks[z] = both
+                        both = target.support_masks(atom.symbol, atom.args, masks)[z]
+                    if not both:
+                        dropped |= 1 << a * side + b
+                        break
+                else:
+                    if wide:
+                        for z in thirds:
+                            masks[z] = x_rows[z][a] & y_rows[z][b]
+                        if not all(
+                            any(target.support_masks(atom.symbol, atom.args, masks).values())
+                            for atom in wide
+                        ):
+                            dropped |= 1 << a * side + b
+        return dropped
 
     pair_keys = list(itertools.combinations(variables, 2))
     queue: deque[tuple[str, str]] = deque(pair_keys)
@@ -447,36 +529,31 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         key = queue.popleft()
         queued.discard(key)
         x, y = key
-        rows, cols = rel[key], rel[(y, x)]
+        old = new = pair[key]
         thirds = [z for z in variables if z != x and z != y]
         free = [z for z in thirds if frozenset((x, y, z)) not in triples]
         bound = [(z, triples[frozenset((x, y, z))]) for z in thirds if z not in free]
         wide = list(dict.fromkeys(wide_of[x] + wide_of[y]))
-        changed = False
-        for a, row in rows.items():
-            new = row
-            # b keeps a partner of a on z iff some w paired with a has b as a partner
-            for z in free:
-                if not new:
-                    break
-                reach, through = 0, rel[(z, y)]
-                for w in mask_bits(rel[(x, z)][a]):
-                    reach |= through[w]
-                    if new & reach == new:
+        # (a, b) keeps a partner on z iff some w paired with a has b as a partner
+        for z in free:
+            if not new:
+                break
+            through_x, through_y = pair[(x, z)], pair[(z, y)]
+            reach = 0
+            for w in values[z]:
+                column = (through_x >> w) & stride
+                if column:
+                    reach |= column * ((through_y >> w * side) & row_full)
+                    if reach & new == new:
                         break
-                new &= reach
-            if new and (bound or wide):
-                for b in mask_bits(new):
-                    if not supported(x, a, y, b, bound, wide):
-                        new ^= 1 << b
-            if new != row:
-                rows[a] = new
-                for b in mask_bits(row ^ new):
-                    cols[b] ^= 1 << a
-                changed = True
-        if changed:
-            if not any(rows.values()):
+            new &= reach
+        if new and (bound or wide):
+            new ^= unsupported(x, y, new, thirds, bound, wide)
+        if new != old:
+            if not new:
                 return False
+            pair[key] = new
+            pair[(y, x)] = _transpose(new, swaps)
             for other in pair_keys:
                 if other != key and (x in other or y in other) and other not in queued:
                     queue.append(other)

@@ -245,6 +245,16 @@ def test_solve_over_the_product_budget_exits_2(tmp_path):
     assert "index budget" in proc.stderr and "1,001,000,000 mask bits" in proc.stderr
 
 
+def test_nu_over_the_pair_budget_exits_2(tmp_path):
+    # robot level 24 has 1,152 elements, padded to 2,048: 24 * 23 pair
+    # matrices and 11 transpose masks of 2,048**2 bits each
+    inst = tmp_path / "chain.inst"
+    inst.write_text("".join(f"lt(v{i},v{i + 1})\n" for i in range(23)))
+    proc = run_capped("solve", "--theory", THEORY, "--instance", str(inst), "--method", "nu")
+    assert proc.returncode == 2
+    assert "pair budget" in proc.stderr and "2,361,393,152 bits" in proc.stderr
+
+
 def test_explicit_domains_over_the_budget_exit_2(tmp_path):
     theory = tmp_path / "huge.theory"
     theory.write_text(

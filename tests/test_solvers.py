@@ -387,6 +387,23 @@ def test_establish_23_on_triple_and_wide_atoms():
     assert refuted > 0  # the pair closure prunes beyond arc consistency
 
 
+def test_pair_matrix_transpose_matches_a_naive_transpose():
+    from cspsampling import solvers
+
+    rng = random.Random(88)
+    for side in (1 << k for k in range(9)):
+        swaps = solvers._transpose_swaps(side)
+        for _ in range(4):
+            matrix = rng.getrandbits(side * side)
+            naive = sum(
+                1 << (b * side + a)
+                for a in range(side)
+                for b in range(side)
+                if matrix >> (a * side + b) & 1
+            )
+            assert solvers._transpose(matrix, swaps) == naive, side
+
+
 class _Thrashed(Exception):
     pass
 
@@ -442,8 +459,10 @@ def test_hom_search_refutes_a_contradiction_inside_a_wide_atom(robot_theory):
 def _reference_corpus():
     """Seeded (instance, target) pairs for the per-value references: robot
     product levels (min3 gives triple atoms), a plain structure with a
-    ternary and a 4-ary relation, and products of random factors with a
-    4-ary relation, whose wide atoms take the exact Hall check."""
+    ternary and a 4-ary relation, products of random factors with a 4-ary
+    relation, whose wide atoms take the exact Hall check, alternating-cycles
+    samples at levels 1-8 (2, 8, 20 and 36 elements, each padded to its own
+    matrix side) and 1-element targets (side 1)."""
     import cspsampling.sampling as sampling
 
     rng = random.Random(20261018)
@@ -485,6 +504,26 @@ def _reference_corpus():
             contracted, _ = cs.contract_equalities(inst)
             if not contracted.has_bot():
                 yield contracted, target
+    cycles = cs.alternating_cycles_sampling()
+    for level in range(1, 9):
+        vs = [f"x{i}" for i in range(level)]
+        sources, sinks = vs[: max(1, level // 2)], vs[max(1, level // 2):] or vs
+        for _ in range(6):
+            # mostly edges of alternating paths from sources to sinks, some anywhere
+            atoms = [
+                Rel("E1", (rng.choice(sources), rng.choice(sinks))) if roll < 0.45
+                else Rel("E2", (rng.choice(sinks), rng.choice(sources))) if roll < 0.9
+                else Rel(rng.choice(("E1", "E2")), (rng.choice(vs), rng.choice(vs)))
+                for roll in (rng.random() for _ in range(level))
+            ]
+            yield Instance.of(cycles.signature, atoms, declared=vs), cycles.generate(level)[0]
+    for relations in ({"T": {(0, 0, 0)}, "E": {(0, 0)}}, {"Q": {(0, 0, 0, 0)}, "E": {(0, 0)}}):
+        point = Structure(sig, 1, relations)
+        for _ in range(8):
+            inst = helpers.random_instance(sig, rng, max_vars=4, max_atoms=4, neq_ok=False)
+            contracted, _ = cs.contract_equalities(inst)
+            if not contracted.has_bot():
+                yield contracted, point
 
 
 def test_whole_mask_steps_match_their_per_value_references(monkeypatch):
