@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
 
-def iter_set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
+def iter_set_partitions(
+    items: Sequence[T], max_blocks: Optional[int] = None
+) -> Iterator[list[list[T]]]:
     """All partitions of ``items`` into nonempty blocks, deterministically.
 
     Each item is placed into an existing block or opens a new one, in order,
-    so blocks are ordered by their smallest member's position.
+    so blocks are ordered by their smallest member's position. With
+    ``max_blocks``, only partitions into at most that many blocks.
     """
     items = list(items)
     if not items:
@@ -26,11 +29,38 @@ def iter_set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
             b.append(items[i])
             yield from extend(i + 1, blocks)
             b.pop()
-        blocks.append([items[i]])
-        yield from extend(i + 1, blocks)
-        blocks.pop()
+        if max_blocks is None or len(blocks) < max_blocks:
+            blocks.append([items[i]])
+            yield from extend(i + 1, blocks)
+            blocks.pop()
 
     yield from extend(0, [])
+
+
+def iter_block_labels(
+    k: int, max_blocks: Optional[int] = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each partition of the positions 0..k-1, in ``iter_set_partitions``
+    order, as the block number of every position and the number of blocks."""
+    for blocks in iter_set_partitions(range(k), max_blocks):
+        label = [0] * k
+        for b, block in enumerate(blocks):
+            for i in block:
+                label[i] = b
+        yield tuple(label), len(blocks)
+
+
+def set_partition_counts(k: int) -> list[int]:
+    """``counts[b]`` is how many partitions of k items into b blocks
+    ``iter_set_partitions`` yields (Stirling numbers of the second kind)."""
+    counts = [1]
+    for _ in range(k):
+        # the next item joins one of the b blocks, or opens block b + 1
+        grown = [b * c for b, c in enumerate(counts)] + [0]
+        for b, c in enumerate(counts):
+            grown[b + 1] += c
+        counts = grown
+    return counts
 
 
 def iter_identifications(

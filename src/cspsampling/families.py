@@ -21,21 +21,16 @@ ExpansionDef = tuple[str, int, "qf.QFDef | str"]
 
 
 def _parse_expansion(
-    expansion: Sequence[ExpansionDef], allowed_symbols: set[str]
+    expansion: Sequence[ExpansionDef], base: Signature
 ) -> list[tuple[str, int, qf.QFDef]]:
     parsed = []
     for name, arity, defn in expansion:
         if isinstance(defn, str):
             defn = qf.parse_definition(defn)
-        stray = qf.referenced_symbols(defn) - allowed_symbols
-        if stray:
-            raise qf.DefinitionError(
-                f"definition of {name!r} uses unavailable symbols {sorted(stray)}"
-            )
-        if qf.max_variable(defn) > arity:
-            raise qf.DefinitionError(
-                f"definition of {name!r} uses more variables than its arity {arity}"
-            )
+        try:
+            qf.check_definition(defn, base, int(arity))
+        except qf.DefinitionError as err:
+            raise qf.DefinitionError(f"definition of {name!r}: {err}") from None
         parsed.append((name, int(arity), defn))
     return parsed
 
@@ -49,28 +44,24 @@ def dense_order_sampling(
 ) -> SampleFamily:
     """Sampling for reducts of first-order expansions of a dense linear order.
 
-    The n-th sample is the chain 1 < 2 < ... < n with every expansion
-    relation materialized by evaluating its definition over {<, =}. With no
-    expansion given, the signature is the bare strict order ``<``.
+    The n-th sample is the chain 1 < 2 < ... < n. Every expansion relation
+    is listed by order type (``qf.order_types``): its definition over {<, =}
+    is evaluated once per weak ordering of its arguments, and each
+    satisfied ordering with m blocks is listed from the increasing m-subsets
+    of the chain. With no expansion given, the signature is the bare strict
+    order ``<``.
     """
     if expansion is None:
         expansion = [(qf.ORDER_SYMBOL, 2, qf.RelAtom(qf.ORDER_SYMBOL, (1, 2)))]
-    parsed = _parse_expansion(expansion, {qf.ORDER_SYMBOL})
+    parsed = _parse_expansion(expansion, Signature([(qf.ORDER_SYMBOL, 2)]))
     signature = Signature([(n_, a) for n_, a, _ in parsed])
-    base_signature = Signature([(qf.ORDER_SYMBOL, 2)])
 
     def builder(n: int) -> Sequence[Structure]:
-        base = Structure(
-            base_signature,
-            n,
-            {qf.ORDER_SYMBOL: {(i, j) for i in range(n) for j in range(i + 1, n)}},
-            [str(i + 1) for i in range(n)],
-        )
         relations = {
-            rel: qf.evaluate_definition(defn, base, arity)
+            rel: qf.define_by_type(defn, *qf.order_types(n, arity))
             for rel, arity, defn in parsed
         }
-        return [Structure(signature, n, relations, base.labels)]
+        return [Structure(signature, n, relations, [str(i + 1) for i in range(n)])]
 
     defs = {rel: defn for rel, _, defn in parsed}
 
@@ -141,27 +132,18 @@ def colored_partition_sampling(
     part_names = [qf.part_symbol(j) for j in range(1, m + 1)]
     if expansion is None:
         expansion = [(p, 1, qf.RelAtom(p, (1,))) for p in part_names]
-    parsed = _parse_expansion(expansion, set(part_names))
+    parsed = _parse_expansion(expansion, Signature([(p, 1) for p in part_names]))
     signature = Signature([(n_, a) for n_, a, _ in parsed])
-    base_signature = Signature([(p, 1) for p in part_names])
 
     def builder(n: int) -> Sequence[Structure]:
         _check_elements(n * m, f"the partition sample at n={n}")
-        # element id i*m + (j-1) is the i-th point of part j
-        base = Structure(
-            base_signature,
-            n * m,
-            {
-                part_names[j]: {(i * m + j,) for i in range(n)}
-                for j in range(m)
-            },
-            [f"{part_names[e % m]}#{e // m + 1}" for e in range(n * m)],
-        )
         relations = {
-            rel: qf.evaluate_definition(defn, base, arity)
+            rel: qf.define_by_type(defn, *qf.part_types(n, m, arity))
             for rel, arity, defn in parsed
         }
-        return [Structure(signature, n * m, relations, base.labels)]
+        # element id i*m + (j-1) is the i-th point of part j
+        labels = [f"{part_names[e % m]}#{e // m + 1}" for e in range(n * m)]
+        return [Structure(signature, n * m, relations, labels)]
 
     defs = {rel: defn for rel, _, defn in parsed}
     part_index = {p: j + 1 for j, p in enumerate(part_names)}

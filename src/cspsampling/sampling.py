@@ -645,8 +645,12 @@ def equality_expansion(
     """Expand every sample with relations defined over equality alone.
 
     Each definition may use only equality atoms between its variables; a
-    definition mentioning a relation symbol is rejected. Equality matching
-    is preserved. Requires the input family to be equality-matching.
+    definition mentioning a relation symbol is rejected. A defined relation
+    is listed by equality pattern (``qf.part_types`` with one part): the
+    definition is evaluated once per set partition of its arguments, and
+    each satisfied partition is listed by the injective maps of its blocks
+    into the sample's domain. Equality matching is preserved. Requires the
+    input family to be equality-matching.
     """
     if not s.equality_matching:
         raise SamplingError(f"{s.name} is not flagged equality-matching")
@@ -669,7 +673,9 @@ def equality_expansion(
         for sample in s.generate(n):
             relations = dict(sample.relations)
             for name, arity, defn in parsed:
-                relations[name] = qf.evaluate_definition(defn, sample, arity)
+                relations[name] = qf.define_by_type(
+                    defn, *qf.part_types(sample.domain_size, 1, arity)
+                )
             out.append(Structure(signature, sample.domain_size, relations, sample.labels))
         return out
 

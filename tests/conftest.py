@@ -390,3 +390,33 @@ def random_instance(signature, rng: random.Random, max_vars=6, max_atoms=8,
             sym, arity = rng.choice(symbols)
             atoms.append(cs.Rel(sym, tuple(rng.choice(pool) for _ in range(arity))))
     return cs.Instance.of(signature, atoms, declared=pool)
+
+
+def random_qf_definition(rng: random.Random, k: int, symbols, depth: int = 3) -> str:
+    """A random quantifier-free definition in x1..xk, as parser text.
+
+    Atoms are equalities, ``xI < xJ`` when ``"<"`` is in ``symbols`` and
+    ``part(j)(xI)`` for each ``"Pj"`` in ``symbols``.
+    """
+    parts = sorted(int(s[1:]) for s in symbols if s.startswith("P"))
+
+    def var() -> str:
+        return f"x{rng.randint(1, k)}"
+
+    def atom() -> str:
+        kinds = ["="] + (["<"] if "<" in symbols else []) + (["part"] if parts else [])
+        kind = rng.choice(kinds)
+        if kind == "part":
+            return f"part({rng.choice(parts)})({var()})"
+        return f"{var()} {kind} {var()}"
+
+    def formula(d: int) -> str:
+        r = rng.random()
+        if d == 0 or r < 0.3:
+            return atom()
+        if r < 0.45:
+            return f"!({formula(d - 1)})"
+        op = " & " if r < 0.75 else " | "
+        return f"({formula(d - 1)}{op}{formula(d - 1)})"
+
+    return formula(depth)

@@ -2,7 +2,12 @@ import itertools
 
 import pytest
 
-from cspsampling.combinatorics import de_bruijn_binary, iter_set_partitions
+from cspsampling.combinatorics import (
+    de_bruijn_binary,
+    iter_block_labels,
+    iter_set_partitions,
+    set_partition_counts,
+)
 
 
 def bell(n):
@@ -28,6 +33,22 @@ def test_partition_counts_match_bell_numbers(n):
         key = tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
         assert key not in seen
         seen.add(key)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_block_limits_labels_and_counts_agree_with_the_enumeration(n):
+    everything = list(iter_set_partitions(range(n)))
+    counts = set_partition_counts(n)
+    assert sum(counts) == bell(n)
+    for limit in range(n + 2):
+        limited = list(iter_set_partitions(range(n), limit))
+        assert limited == [p for p in everything if len(p) <= limit]
+        assert len(limited) == sum(counts[: limit + 1])
+        labels = list(iter_block_labels(n, limit))
+        assert labels == [
+            (tuple(next(b for b, block in enumerate(p) if i in block) for i in range(n)), len(p))
+            for p in limited
+        ]
 
 
 def test_partitions_are_deterministic():

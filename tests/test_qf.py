@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import cspsampling as cs
 import cspsampling.qf as qf
 from cspsampling.model import Signature, Structure
 
@@ -10,6 +11,13 @@ CHAIN3 = Structure(
     Signature([("<", 2)]),
     3,
     {"<": {(0, 1), (0, 2), (1, 2)}},
+)
+
+
+CHAIN45 = Structure(
+    Signature([("<", 2)]),
+    45,
+    {"<": set(itertools.combinations(range(45), 2))},
 )
 
 
@@ -129,3 +137,44 @@ def test_evaluation_budget_is_checked_before_enumerating(monkeypatch):
     # the budget counts candidates, not variables: one element, 83 variables
     one = Structure(Signature([("<", 2)]), 1, {})
     assert qf.evaluate_definition(defn, one, 83) == {(0,) * 83}
+
+
+def test_typed_listing_admits_what_candidate_counting_refused():
+    # 45**4 = 4,100,625 candidates; C(45, 4) = 148,995 tuples of one type
+    fam = cs.dense_order_sampling([("chain", 4, "x1 < x2 & x2 < x3 & x3 < x4")])
+    with pytest.raises(qf.DefinitionError, match="budget"):
+        qf.evaluate_definition(qf.parse_definition("x1 < x2"), CHAIN45, 4)
+    (sample,) = fam.generate(45)
+    assert sample.relations["chain"] == set(itertools.combinations(range(45), 4))
+
+
+def test_typed_listing_budget_is_checked_before_listing(monkeypatch):
+    def listed(*args):
+        raise AssertionError("a tuple was listed")
+
+    # every 4-tuple at level 50: 75 types and 6,250,000 tuples
+    fam = cs.dense_order_sampling([("all", 4, "x1 = x1")])
+    monkeypatch.setattr(qf, "_list_type", listed)
+    with pytest.raises(qf.DefinitionError, match="budget"):
+        fam.generate(50)
+    # the types alone are counted before any is evaluated
+    monkeypatch.setattr(qf, "holds", listed)
+    wide = cs.dense_order_sampling([("wide", 12, "x1 = x1")])
+    with pytest.raises(qf.DefinitionError, match="types .* budget"):
+        wide.generate(12)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_type_counts_and_sizes_cover_every_tuple_once(k):
+    # the count is what the budget reads before any type is evaluated, and
+    # the sizes what it reads before any tuple is listed
+    for n in range(6):
+        count, types = qf.order_types(n, k)
+        types = list(types)
+        assert count == len(types)
+        assert sum(size for _, _, size, _ in types) == n**k
+        for m in (1, 2, 3):
+            count, types = qf.part_types(n, m, k)
+            types = list(types)
+            assert count == len(types)
+            assert sum(size for _, _, size, _ in types) == (n * m) ** k
