@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -75,6 +75,29 @@ def iter_identifications(
         rep = {v: block[0] for block in blocks for v in block}
         if not any(rep[a] == rep[b] for a, b in apart):
             yield blocks, rep
+
+
+def union_find(items: Sequence[T]) -> tuple[Callable[[T], T], Callable[[T, T], None]]:
+    """Find and union over ``items``; each class is represented by its
+    member that comes first in ``items``."""
+    parent = {v: v for v in items}
+    order = {v: i for i, v in enumerate(items)}
+
+    def find(v: T) -> T:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    def union(a: T, b: T) -> None:
+        ra, rb = find(a), find(b)
+        if order[ra] > order[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+
+    return find, union
 
 
 def de_bruijn_binary(n: int) -> list[int]:

@@ -9,10 +9,10 @@ polynomial path is always solve_via_sampling over the generated samples.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import qf
-from .combinatorics import de_bruijn_binary, iter_identifications
+from .combinatorics import de_bruijn_binary, iter_identifications, union_find
 from .formulas import Instance, Neq, Rel, contract_equalities
 from .model import Signature, Structure, disjoint_union
 from .sampling import SampleFamily, SamplingError, _check_elements
@@ -406,7 +406,7 @@ def marked_colors_sampling(name: str = "marked-colors") -> SampleFamily:
         contracted, _ = contract_equalities(inst)
         if contracted.has_bot():
             return False
-        find, union = _union_find(contracted.variables)
+        find, union = union_find(contracted.variables)
         marked = [
             a.args[0] for a in contracted.atoms
             if isinstance(a, Rel) and a.symbol == MARK
@@ -438,24 +438,6 @@ def marked_colors_sampling(name: str = "marked-colors") -> SampleFamily:
 # --- shared closure helpers --------------------------------------------------------
 
 
-def _union_find(
-    variables: Sequence[str],
-) -> tuple[Callable[[str], str], Callable[[str, str], None]]:
-    """Find and union over the variables; union(a, b) puts a's root under b's."""
-    parent = {v: v for v in variables}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: str, b: str) -> None:
-        parent[find(a)] = find(b)
-
-    return find, union
-
-
 def _merge_functional(
     contracted: Instance, modes: dict[str, tuple[str, ...]]
 ) -> tuple[dict[str, set[tuple[str, str]]], callable]:
@@ -466,7 +448,7 @@ def _merge_functional(
     and the find function. Never fails by itself (callers add their own
     rejection rules).
     """
-    find, union = _union_find(contracted.variables)
+    find, union = union_find(contracted.variables)
     raw_edges: dict[str, list[tuple[str, str]]] = {s: [] for s in modes}
     for atom in contracted.atoms:
         if isinstance(atom, Rel) and atom.symbol in modes:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .combinatorics import union_find
 from .model import Signature, Structure
 
 
@@ -124,23 +125,10 @@ def contract_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:
     kinds = set(map(type, inst.atoms))
     equalities = [a for a in inst.atoms if isinstance(a, Eq)] if Eq in kinds else []
     if equalities:
-        order = {v: i for i, v in enumerate(inst.variables)}
-
-        def find(v: str) -> str:
-            root = v
-            while mapping[root] != root:
-                root = mapping[root]
-            while mapping[v] != root:
-                mapping[v], v = root, mapping[v]
-            return root
-
+        find, union = union_find(inst.variables)
         for atom in equalities:
-            ra, rb = find(atom.left), find(atom.right)
-            if order[ra] > order[rb]:
-                ra, rb = rb, ra
-            mapping[rb] = ra
-        for v in mapping:
-            mapping[v] = find(v)
+            union(atom.left, atom.right)
+        mapping = {v: find(v) for v in inst.variables}
     variables = tuple(dict.fromkeys(mapping.values()))
 
     new_atoms = inst.atoms  # relation atoms alone need no rewriting

@@ -15,52 +15,27 @@ two-variable arc query of one shape and direction, whose object answers
 variables a whole mask at a time (the values each variable takes in the
 tuples within the given masks); and tuple membership in ``relations``.
 Two kinds of structure answer them. A ``Structure`` holds its tuple sets
-and builds the index in a single pass over them; its arcs are
-``TableArc``s over listed partner masks. A product sample
+and builds the index in a single pass over them. A product sample
 (``sampling.ProductStructure``) keeps its two factors and answers every
-query from them, revising arcs from the owning factor's partner masks,
-wide atoms from the owning factor's tuples, and building a tuple only
-when a caller iterates a relation.
+query from them: its index is lifted from the owning factor's, wide atoms
+are revised from the owning factor's tuples, and a tuple is built only
+when a caller iterates a relation. Both kinds build arcs in one
+``Structure._build_arc``, which hands the shape's partner dicts from the
+index to the kind's ``arc_class``: ``TableArc`` over listed partner masks,
+or the product's ``_ProductArc`` over lifted factor masks.
+``shaped_masks``, both directions' partner masks of a shape, is a view
+read off the two arcs.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class SignatureError(ValueError):
     """A signature invariant was violated (duplicate name, bad arity, mismatch)."""
-
-
-class ShapedMasks(NamedTuple):
-    """Bitmask form of a two-group relation projection, for the solver.
-
-    Element k of the domain corresponds to bit 1 << k. ``forward`` maps a
-    first-group value to the bitmask of its second-group partners (and
-    ``backward`` the reverse); the key masks have a bit per supported
-    value; the by-size tuples order values by how few partners they have.
-    """
-
-    forward: dict[int, int]
-    backward: dict[int, int]
-    forward_keys: int
-    backward_keys: int
-    forward_by_size: tuple[tuple[int, int], ...]
-    backward_by_size: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, forward: dict[int, int], backward: dict[int, int]) -> "ShapedMasks":
-        """The masks of two partner dicts, with their keys and size orders."""
-        return cls(
-            forward,
-            backward,
-            sum(1 << v for v in forward),
-            sum(1 << v for v in backward),
-            tuple(sorted((m.bit_count(), v) for v, m in forward.items())),
-            tuple(sorted((m.bit_count(), v) for v, m in backward.items())),
-        )
 
 
 class TableArc:
@@ -71,17 +46,25 @@ class TableArc:
     values with a partner in the watched mask. A watched mask has lost at
     most ``domain_size - |dom_watched|`` values, so by pigeonhole only
     affected values with that few partners can have lost them all; they are
-    the only ones checked.
+    the only ones checked. ``to_affected`` maps a watched value to its
+    affected partners and ``to_watched`` the reverse; each value on the
+    ``diagonal`` is also its own partner.
     """
 
     __slots__ = ("_partners", "_supports", "_keys", "_by_size", "_domain_size")
 
-    def __init__(self, domain_size: int, masks: ShapedMasks):
-        self._partners = masks.forward
-        self._supports = masks.backward
-        self._keys = masks.backward_keys
-        self._by_size = masks.backward_by_size
-        self._domain_size = domain_size
+    def __init__(
+        self, structure: Structure, name: str,
+        to_affected: dict[int, int], to_watched: dict[int, int], diagonal: int,
+    ):
+        partners, supports = dict(to_affected), dict(to_watched)
+        for v in mask_bits(diagonal):
+            partners[v] = partners.get(v, 0) | 1 << v
+            supports[v] = supports.get(v, 0) | 1 << v
+        self._partners, self._supports = partners, supports
+        self._keys = sum(1 << v for v in supports)
+        self._by_size = tuple(sorted((m.bit_count(), v) for v, m in supports.items()))
+        self._domain_size = structure.domain_size
 
     def partners(self, value: int) -> int:
         return self._partners.get(value, 0)
@@ -158,6 +141,7 @@ class Structure:
     domain_size: int
     relations: Mapping[str, frozenset[tuple[int, ...]]]
     labels: tuple[str, ...] | None = field(default=None)
+    arc_class = TableArc  # what ``arc`` builds over the index's partner dicts
 
     def __init__(
         self,
@@ -306,46 +290,19 @@ class Structure:
         return self._index(name)[1]
 
     def shaped_masks(
-        self,
-        name: str,
-        first_positions: tuple[int, ...],
-        second_positions: tuple[int, ...],
-    ) -> ShapedMasks:
-        """Binary projection of a relation onto two position groups, as masks.
-
-        Keeps tuples that are constant on each group; returns the partner
-        masks in both directions (first-value -> second-values and back),
-        plus each direction's values ordered by partner count, which lets
-        solvers bound support rechecks by a pigeonhole argument. Lets atoms
-        with two distinct variables propagate like binary ones. The groups
-        must partition the positions of the relation.
-        """
-        key = ("shaped-masks", name, first_positions, second_positions)
-        cached = self._indexes.get(key)
-        if cached is None:
-            pattern = self._shape_pattern(name, first_positions, second_positions)
-            _, diagonal, partners = self._index(name)
-            forward, backward = (dict(m) for m in partners.get(pattern, ({}, {})))
-            if 0 not in first_positions:
-                forward, backward = backward, forward
-            for v in range(self.domain_size):
-                if diagonal >> v & 1:
-                    forward[v] = forward.get(v, 0) | 1 << v
-                    backward[v] = backward.get(v, 0) | 1 << v
-            cached = self._indexes[key] = ShapedMasks.of(forward, backward)
-        return cached
-
-    def _shape_pattern(
         self, name: str, first_positions: tuple[int, ...], second_positions: tuple[int, ...]
-    ) -> tuple[bool, ...]:
-        """The equality pattern of a two-group shape: True on the group
-        holding position 0. Raises unless the groups partition the positions."""
-        arity = self.signature.arity(name)
-        group = first_positions if 0 in first_positions else second_positions
-        pattern = tuple(p in group for p in range(arity))
-        if all(pattern) or sorted(first_positions + second_positions) != list(range(arity)):
-            raise ValueError(f"{first_positions} and {second_positions} do not partition {name}")
-        return pattern
+    ) -> tuple[dict[int, int], dict[int, int]]:
+        """Partner masks of a two-group shape in both directions: each
+        first-group value to the mask of its second-group partners, and back.
+        Read off the shape's two arcs one value at a time, on each call; the
+        groups must partition the relation's positions."""
+        return tuple(
+            {v: m for v in range(self.domain_size) if (m := arc.partners(v))}
+            for arc in (
+                self.arc(name, first_positions, second_positions),
+                self.arc(name, second_positions, first_positions),
+            )
+        )
 
     def arc(
         self,
@@ -364,11 +321,19 @@ class Structure:
             )
         return cached
 
-    def _build_arc(
-        self, name: str, watched_positions: tuple[int, ...], affected_positions: tuple[int, ...]
-    ) -> TableArc:
-        masks = self.shaped_masks(name, watched_positions, affected_positions)
-        return TableArc(self.domain_size, masks)
+    def _build_arc(self, name: str, watched: tuple[int, ...], affected: tuple[int, ...]):
+        """The kind's ``arc_class`` over the shape's partner dicts from the
+        index, turned to run from the watched to the affected positions.
+        Raises unless the two groups partition the relation's positions."""
+        arity = self.signature.arity(name)
+        pattern = tuple(p in (watched if 0 in watched else affected) for p in range(arity))
+        if all(pattern) or sorted(watched + affected) != list(range(arity)):
+            raise ValueError(f"{watched} and {affected} do not partition {name}")
+        _, diagonal, shapes = self._index(name)
+        to_affected, to_watched = shapes.get(pattern, ({}, {}))
+        if 0 not in watched:
+            to_affected, to_watched = to_watched, to_affected
+        return self.arc_class(self, name, to_affected, to_watched, diagonal)
 
 
 def mask_bits(mask: int) -> Iterator[int]:

@@ -31,12 +31,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import qf
 from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
-from .model import ShapedMasks, Signature, Structure, atom_layout, mask_bits, singleton_anchor
+from .model import Signature, Structure, atom_layout, mask_bits, singleton_anchor
 
 Decider = Callable[[Instance], bool]
 
 _MAX_ELEMENTS = 1_000_000  # in one sample
 _MAX_INDEX_BITS = 1_000_000_000  # mask bits the indexes of one product level can hold
+_MAX_RENAMINGS = 250_000  # atom-set renamings one from-decider level may try
 
 
 class SamplingError(ValueError):
@@ -138,13 +139,21 @@ def sampling_from_decider(
     generate(n) enumerates the repetition-free conjunctions of relation
     atoms on at most n variables, up to variable renaming, keeps the ones
     the decision procedure accepts, and returns their canonical databases.
-    The construction is exponential in n; ``max_n`` is a hard cost guard.
+    The construction is exponential in n; ``max_n`` is a hard cost guard,
+    and a level that would try more than ``_MAX_RENAMINGS`` atom-set
+    renamings (``_renaming_count``) raises SamplingError before any is tried.
     """
 
     def builder(n: int) -> Sequence[Structure]:
         if n > max_n:
             raise SamplingError(
                 f"{name}: n={n} exceeds the configured cost guard max_n={max_n}"
+            )
+        count = _renaming_count(signature, n)
+        if count > _MAX_RENAMINGS:
+            raise SamplingError(
+                f"{name}: n={n} would try at least {count:,} atom-set renamings, over "
+                f"the renaming budget of {_MAX_RENAMINGS:,}"
             )
         out: list[Structure] = []
         for v in range(1, n + 1):
@@ -173,6 +182,20 @@ def sampling_from_decider(
     return SampleFamily(
         signature, builder, equality_matching, False, decider, name
     )
+
+
+def _renaming_count(signature: Signature, n: int) -> int:
+    """Renamings a from-decider level tries: for each v <= n, every set of
+    the atoms on v variables, v! renamings each. Counting stops once over
+    ``_MAX_RENAMINGS``, so it stays cheap for any n and arity."""
+    cap = _MAX_RENAMINGS.bit_length()  # 2**cap atom sets alone are over budget
+    total = 0
+    for v in range(1, n + 1):
+        atoms = sum(v ** min(arity, cap) for _, arity in signature)
+        total += 2 ** min(atoms, cap) * math.factorial(v)
+        if total > _MAX_RENAMINGS:
+            break
+    return total
 
 
 def _canonical_atom_set(atoms: Iterable[tuple[str, tuple[int, ...]]], v: int) -> tuple:
@@ -346,23 +369,6 @@ class _ProductRelation(Set):
         """The product elements whose own coordinate is in a factor mask."""
         return sum(self.row << o * self.own_scale for o in mask_bits(mask))
 
-    def index(self) -> tuple[tuple[int, ...], int, int, dict]:
-        """Lifted projections and diagonal, the factor diagonal, and the
-        lifted factor partner masks of each shape.
-
-        Only factor tuples with at most ``other_size`` distinct values give
-        product tuples. Projections and the diagonal are the factor's,
-        lifted to every other coordinate. Each shape keeps, per direction,
-        one lifted factor partner mask per own value with partners: the
-        O(|D_own|) masks that ``_ProductArc`` answers from.
-        """
-        projections, diagonal, partners = _factor_index(self.factor, self.name, self.other_size)
-        shapes = {
-            pattern: tuple({o: self.lift(m) for o, m in side.items()} for side in sides)
-            for pattern, sides in partners.items()
-        }
-        return tuple(map(self.lift, projections)), self.lift(diagonal), diagonal, shapes
-
     def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
         """``Structure.support_masks`` from the owning factor's tuples.
 
@@ -450,7 +456,7 @@ class _ProductArc:
     coordinate y. A two-valued product tuple has two distinct values in
     both coordinates and a constant one is constant in both, so the
     partners of watched (o, y) are the lifted factor partners of o outside
-    the column of y, plus (o, y) itself when o is on the factor diagonal.
+    the column of y, plus (o, y) itself when it is on the lifted diagonal.
     ``revise`` keeps the self-supported values, then takes each affected
     own row with factor partners: the watched values within the row's
     lifted partners support the whole row when they reach two columns, the
@@ -459,23 +465,18 @@ class _ProductArc:
     partner masks would take one per product value.
     """
 
-    __slots__ = ("_to_affected", "_rows", "_diagonal", "_lifted_diagonal",
-                 "_own_scale", "_own_size", "_column")
+    __slots__ = ("_to_affected", "_rows", "_diagonal", "_own_scale", "_own_size", "_column")
 
     def __init__(
-        self,
-        rel: _ProductRelation,
-        to_affected: dict[int, int],
-        to_watched: dict[int, int],
-        diagonal: int,
-        lifted_diagonal: int,
+        self, structure: ProductStructure, name: str,
+        to_affected: dict[int, int], to_watched: dict[int, int], diagonal: int,
     ):
+        rel = structure.relations[name]
         self._to_affected = to_affected
         self._rows = tuple(
             (rel.row << o * rel.own_scale, lifted) for o, lifted in to_watched.items()
         )
         self._diagonal = diagonal
-        self._lifted_diagonal = lifted_diagonal
         self._own_scale = rel.own_scale
         self._own_size = rel.own_size
         self._column = rel.column
@@ -485,13 +486,13 @@ class _ProductArc:
         mask = self._to_affected.get(o, 0)
         if mask:
             mask &= ~(self._column << value - o * self._own_scale)
-        if self._diagonal >> o & 1:
+        if self._diagonal >> value & 1:
             mask |= 1 << value
         return mask
 
     def revise(self, dom_affected: int, dom_watched: int) -> int:
         own_scale, own_size, column = self._own_scale, self._own_size, self._column
-        keep = dom_affected & dom_watched & self._lifted_diagonal
+        keep = dom_affected & dom_watched & self._diagonal
         for row, lifted in self._rows:
             row_affected = dom_affected & row
             if row_affected:
@@ -514,9 +515,11 @@ class ProductStructure(Structure):
     and ``support_masks`` scans the owning factor's tuples, so building and
     solving cost O(factor tuples) plus O(|D_own|) big-integer mask
     operations per revision instead of O(product tuples) or O(|D|).
-    ``projection_mask`` and ``diagonal_mask`` are the inherited methods over
-    that index; ``shaped_masks`` is read off the arcs, one value at a time.
+    ``projection_mask``, ``diagonal_mask``, ``arc`` and ``shaped_masks``
+    are the inherited methods over that index.
     """
+
+    arc_class = _ProductArc
 
     def __init__(
         self,
@@ -531,39 +534,27 @@ class ProductStructure(Structure):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_indexes", {})
 
-    def _index(self, name: str) -> tuple[tuple[int, ...], int, int, dict]:
+    def _index(self, name: str) -> tuple[tuple[int, ...], int, dict]:
+        """``Structure._index`` lifted from the owning factor's index.
+
+        Only factor tuples with at most ``other_size`` distinct values give
+        product tuples. Projections and the diagonal are the factor's,
+        lifted to every other coordinate. Each shape keeps, per direction,
+        one lifted factor partner mask per own value with partners: the
+        O(|D_own|) masks that ``_ProductArc`` answers from.
+        """
         key = ("index", name)
         cached = self._indexes.get(key)
         if cached is None:
-            cached = self._indexes[key] = self.relations[name].index()
+            rel = self.relations[name]
+            projections, diagonal, partners = _factor_index(rel.factor, name, rel.other_size)
+            shapes = {
+                pattern: tuple({o: rel.lift(m) for o, m in side.items()} for side in sides)
+                for pattern, sides in partners.items()
+            }
+            lifted = tuple(map(rel.lift, projections)), rel.lift(diagonal), shapes
+            cached = self._indexes[key] = lifted
         return cached
-
-    def _build_arc(
-        self, name: str, watched_positions: tuple[int, ...], affected_positions: tuple[int, ...]
-    ) -> _ProductArc:
-        pattern = self._shape_pattern(name, watched_positions, affected_positions)
-        _, lifted_diagonal, diagonal, shapes = self._index(name)
-        forward, backward = shapes.get(pattern, ({}, {}))
-        if 0 not in watched_positions:
-            forward, backward = backward, forward
-        return _ProductArc(self.relations[name], forward, backward, diagonal, lifted_diagonal)
-
-    def shaped_masks(
-        self,
-        name: str,
-        first_positions: tuple[int, ...],
-        second_positions: tuple[int, ...],
-    ) -> ShapedMasks:
-        """``Structure.shaped_masks`` from the two arcs of the shape; built
-        on each call, since it holds a |D|-bit mask per product value."""
-        forward, backward = (
-            {v: m for v in range(self.domain_size) if (m := arc.partners(v))}
-            for arc in (
-                self.arc(name, first_positions, second_positions),
-                self.arc(name, second_positions, first_positions),
-            )
-        )
-        return ShapedMasks.of(forward, backward)
 
     def support_masks(
         self, name: str, args: tuple[str, ...], masks: Mapping[str, int]

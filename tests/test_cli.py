@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import cspsampling as cs
@@ -253,6 +254,25 @@ def test_nu_over_the_pair_budget_exits_2(tmp_path):
     proc = run_capped("solve", "--theory", THEORY, "--instance", str(inst), "--method", "nu")
     assert proc.returncode == 2
     assert "pair budget" in proc.stderr and "2,361,393,152 bits" in proc.stderr
+
+
+def test_from_decider_over_the_renaming_budget_exits_2(tmp_path):
+    # level 6 of successor's from-decider family would try at least
+    # 1,575,970 renamings: the count is over the budget at 4 variables
+    theory = tmp_path / "fd.theory"
+    theory.write_text("theory S = successor\ntheory F = from_decider(S, 9)\n")
+    inst = tmp_path / "path.inst"
+    inst.write_text("".join(f"succ(x{i}, x{i + 1})\n" for i in range(1, 6)))
+    start = time.perf_counter()
+    proc = run_capped("solve", "--theory", str(theory), "--instance", str(inst))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert "1,575,970 atom-set renamings" in proc.stderr and "budget of 250,000" in proc.stderr
+    # level 3 tries 3,106 renamings and is built
+    theory.write_text("theory S = successor\ntheory F = from_decider(S, 3)\n")
+    inst.write_text("succ(x1, x2); succ(x2, x3)\n")
+    proc = run_capped("solve", "--theory", str(theory), "--instance", str(inst))
+    assert proc.returncode == 0 and "verdict: satisfiable" in proc.stdout
 
 
 def test_explicit_domains_over_the_budget_exit_2(tmp_path):

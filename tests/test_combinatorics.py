@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from cspsampling.combinatorics import (
     iter_block_labels,
     iter_set_partitions,
     set_partition_counts,
+    union_find,
 )
 
 
@@ -84,3 +86,24 @@ def test_iter_identifications_filters_partitions_and_names_representatives():
     assert [p[0] for p in iter_identifications("ab", [])] == list(
         iter_set_partitions("ab")
     )
+
+
+def test_union_find_classes_are_components_led_by_their_first_item():
+    rng = random.Random(7)
+    for _ in range(200):
+        items = rng.sample(range(100), rng.randint(1, 9))
+        pairs = [(rng.choice(items), rng.choice(items)) for _ in range(rng.randint(0, 8))]
+        find, union = union_find(items)
+        for a, b in pairs:
+            union(a, b)
+        # components by repeated merging of overlapping classes
+        classes = [{v} for v in items]
+        for a, b in pairs:
+            ca = next(c for c in classes if a in c)
+            cb = next(c for c in classes if b in c)
+            if ca is not cb:
+                ca |= cb
+                classes.remove(cb)
+        for c in classes:
+            first = min(c, key=items.index)
+            assert {find(v) for v in c} == {first}

@@ -182,9 +182,9 @@ def test_indexes_are_consistent_with_relations():
     assert s.projection_mask("R", 0) == 0b111
     assert s.diagonal_mask("R") == 1 << 2
     assert set(s.tuples_by_value("R", 1)[1]) == {(0, 1, 2), (1, 1, 2)}
-    masks = s.shaped_masks("R", (0, 1), (2,))
-    assert masks.forward == {1: 1 << 2, 2: 1 << 2}
-    assert masks.forward_keys == (1 << 1) | (1 << 2)
+    forward, backward = s.shaped_masks("R", (0, 1), (2,))
+    assert forward == {1: 1 << 2, 2: 1 << 2}
+    assert backward == {2: 1 << 1 | 1 << 2}
 
 
 def _scan_shape(tuples, first, second):
@@ -210,8 +210,17 @@ def _random_tuple(rng, domain, arity):
     return tuple(rng.randrange(domain) for _ in range(arity))
 
 
+def _mask_pairs(rng, domain):
+    """Seeded (affected, watched) mask pairs over every combination of the
+    empty mask, each singleton, the full domain and two random masks."""
+    masks = [0, (1 << domain) - 1, rng.getrandbits(domain), rng.getrandbits(domain)]
+    masks += [1 << v for v in range(domain)]
+    return list(itertools.product(masks, repeat=2))
+
+
 def test_indexes_match_a_brute_force_scan():
     rng = random.Random(20261018)
+    mask_rng = random.Random(20261019)  # apart, so the structures stay as they were
     for _ in range(300):
         domain = rng.randint(1, 5)
         arity = rng.randint(1, 4)
@@ -232,16 +241,21 @@ def test_indexes_match_a_brute_force_scan():
                 continue
             forward, backward = _scan_shape(tuples, first, second)
             masks = s.shaped_masks("R", first, second)
-            assert {v: bits(m) for v, m in masks.forward.items()} == forward
-            assert {v: bits(m) for v, m in masks.backward.items()} == backward
-            assert bits(masks.forward_keys) == set(forward)
-            assert bits(masks.backward_keys) == set(backward)
-            assert masks.forward_by_size == tuple(
-                sorted((len(ps), v) for v, ps in forward.items())
+            assert tuple({v: bits(m) for v, m in d.items()} for d in masks) == (
+                forward, backward
             )
-            assert masks.backward_by_size == tuple(
-                sorted((len(ps), v) for v, ps in backward.items())
-            )
+            # both arcs of the shape, so the pigeonhole bound and constant
+            # tuples (their own partners) are checked against the scan
+            for watched, affected, to_affected, to_watched in (
+                (first, second, forward, backward),
+                (second, first, backward, forward),
+            ):
+                arc = s.arc("R", watched, affected)
+                for v in range(domain):
+                    assert bits(arc.partners(v)) == to_affected.get(v, set())
+                for dom_a, dom_w in _mask_pairs(mask_rng, domain):
+                    scan = {a for a in bits(dom_a) if to_watched.get(a, set()) & bits(dom_w)}
+                    assert bits(arc.revise(dom_a, dom_w)) == scan, (watched, dom_a, dom_w)
 
 
 def test_shaped_masks_need_a_partition_into_two_groups():

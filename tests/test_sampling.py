@@ -380,7 +380,7 @@ def _assert_arcs_match(prod, ref, name, watched, affected, rng):
     """The product's arc query against the pigeonhole arc of the
     materialized reference and against a scan of its partner masks."""
     arc, ref_arc = prod.arc(name, watched, affected), ref.arc(name, watched, affected)
-    supports = ref.shaped_masks(name, watched, affected).backward
+    _, supports = ref.shaped_masks(name, watched, affected)
     for value in range(ref.domain_size):
         assert arc.partners(value) == ref_arc.partners(value), (name, watched, value)
     for dom_a, dom_w in _mask_pairs(rng, ref.domain_size):
