@@ -30,6 +30,7 @@ read off the two arcs.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -210,22 +211,17 @@ class Structure:
         one value across its positions, and that value lies in the
         variable's mask if ``masks`` has one; a variable without a mask is
         unrestricted. Returns one mask per distinct variable, all empty when
-        no tuple supports the atom. The scan reads the ``tuples_by_value``
-        bucket of a variable whose mask is a singleton, or every tuple.
+        no tuple supports the atom. The scan starts where ``live_tuples``
+        says, a value of a mask being live: it reads the buckets of the
+        smallest mask's values (one bucket for a singleton, none for an
+        empty mask), or every tuple when no variable has a mask.
         """
         distinct, firsts, repeats = atom_layout(args)
         given = [masks.get(x) for x in distinct]
-        anchor = singleton_anchor(firsts, given)
-        if anchor is None:
-            return dict.fromkeys(distinct, 0)
-        if anchor:
-            position, value = anchor
-            tuples = self.tuples_by_value(name, position).get(value, ())
-        else:
-            tuples = self.relations[name]
+        live = [None if m is None else list(mask_bits(m)) for m in given]
         checks = [(p, m) for p, m in zip(firsts, given) if m is not None]
         found = [0] * len(distinct)
-        for t in tuples:
+        for t in live_tuples(self, name, firsts, live):
             for i, j in repeats:
                 if t[i] != t[j]:
                     break
@@ -356,19 +352,23 @@ def atom_layout(
     return distinct, firsts, repeats
 
 
-def singleton_anchor(
-    firsts: Sequence[int], given: Sequence[int | None]
-) -> tuple[int, int] | tuple[()] | None:
-    """Where a support scan can start: None when some mask is empty, the
-    (position, value) of the first variable with a singleton mask, or ()
-    when no mask is a singleton."""
-    anchor: tuple = ()
-    for p, m in zip(firsts, given):
-        if m is not None and not m & (m - 1):
-            if not m:
-                return None
-            anchor = anchor or (p, m.bit_length() - 1)
-    return anchor
+def live_tuples(
+    structure: Structure, name: str, firsts: Sequence[int], live: Sequence[Sequence[int] | None]
+) -> Iterable[tuple[int, ...]]:
+    """Where a support scan starts: the ``tuples_by_value`` buckets of the
+    live values at the position whose variable has the fewest of them, or
+    every tuple when no variable is restricted. ``live`` holds each
+    variable's live values, None for an unrestricted one; a variable with
+    none reads no tuple, and one with a single value reads one bucket."""
+    start = None
+    for p, values in zip(firsts, live):
+        if values is not None and (start is None or len(values) < len(start[1])):
+            start = p, values
+    if start is None:
+        return itertools.chain.from_iterable(structure.tuples_by_value(name, 0).values())
+    position, values = start
+    buckets = structure.tuples_by_value(name, position)
+    return itertools.chain.from_iterable(buckets.get(v, ()) for v in values)
 
 
 def disjoint_union(structures: Sequence[Structure]) -> Structure:

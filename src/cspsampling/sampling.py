@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import qf
 from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
-from .model import Signature, Structure, atom_layout, mask_bits, singleton_anchor
+from .model import Signature, Structure, atom_layout, live_tuples, mask_bits
 
 Decider = Callable[[Instance], bool]
 
@@ -369,69 +369,86 @@ class _ProductRelation(Set):
         """The product elements whose own coordinate is in a factor mask."""
         return sum(self.row << o * self.own_scale for o in mask_bits(mask))
 
+    def rows(self, mask: int) -> dict[int, int]:
+        """A mask's live own values, each to its row of the mask: the other
+        coordinates the mask holds with that own value, as bits of ``row``.
+        A sparse mask is read bit by bit, a dense one row by row."""
+        scale, own_size = self.own_scale, self.own_size
+        if mask.bit_count() > own_size:
+            return {o: r for o in range(own_size) if (r := mask >> o * scale & self.row)}
+        rows: dict[int, int] = {}
+        for v in mask_bits(mask):
+            o = v // scale % own_size
+            rows[o] = rows.get(o, 0) | 1 << v - o * scale
+        return rows
+
     def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
         """``Structure.support_masks`` from the owning factor's tuples.
 
-        The scan reads the owning factor's bucket of a singleton mask's own
-        value, or every factor tuple. A factor tuple fits when each variable
-        has one own value across its positions; each block of equal own
-        values then gets the other coordinates its variables' masks allow,
-        one shift and one AND per variable. The blocks need pairwise
-        distinct other coordinates, so a block keeps those that leave the
-        other blocks a system of distinct representatives
-        (``_representatives``), and each variable gets its block's kept
-        coordinates back with one shift. No product tuple is formed, so a
-        revision costs O(factor tuples).
+        Each mask is split into its rows, one per live own value. The scan
+        starts where ``live_tuples`` says: the owning factor's buckets of
+        the live own values of the variable with the fewest, or every
+        factor tuple. A factor tuple fits when each variable has one own
+        value across its positions; each block of equal own values then
+        gets the AND of its variables' rows, and the tuple is dropped as
+        soon as a block's row is empty. The blocks need pairwise distinct
+        other coordinates. With k blocks, a block of at least k values can
+        always pick last, since the other blocks take at most k - 1 of its
+        values; so when every block is that large each keeps its whole row,
+        and otherwise ``_representatives`` finds the coordinates that leave
+        the other blocks a system of distinct representatives. Kept rows
+        are ORed per variable and own value, and shifted back once at the
+        end, so a revision costs a few small-int operations per factor tuple
+        it reads and no product tuple is formed.
         """
         distinct, firsts, repeats = atom_layout(args)
-        given = [masks.get(x) for x in distinct]
-        anchor = singleton_anchor(firsts, given)
-        if anchor is None:
-            return dict.fromkeys(distinct, 0)
-        scale, factor, row = self.own_scale, self.factor, self.row
-        if anchor:
-            position, value = anchor
-            tuples = factor.tuples_by_value(self.name, position).get(
-                value // scale % self.own_size, ()
-            )
-        else:  # the buckets are cached, where a product factor's tuples are not
-            tuples = itertools.chain.from_iterable(
-                factor.tuples_by_value(self.name, 0).values()
-            )
-        found = [0] * len(distinct)
-        for t in tuples:
+        rows = [None if (m := masks.get(x)) is None else self.rows(m) for x in distinct]
+        checks = [(p, r) for p, r in zip(firsts, rows) if r is not None]
+        free = [p for p, r in zip(firsts, rows) if r is None]
+        row = self.row
+        found: list[dict[int, int]] = [{} for _ in distinct]
+        for t in live_tuples(self.factor, self.name, firsts, rows):
             for i, j in repeats:
                 if t[i] != t[j]:
                     break
             else:
                 allowed: dict[int, int] = {}
-                for p, m in zip(firsts, given):
+                for p, r in checks:
                     o = t[p]
-                    a = allowed.get(o, row)
-                    allowed[o] = a if m is None else a & m >> o * scale
-                kept = _representatives(allowed)
-                if kept is not None:
-                    for k, p in enumerate(firsts):
-                        o = t[p]
-                        found[k] |= kept[o] << o * scale
-        return dict(zip(distinct, found))
+                    a = r.get(o, 0) & allowed.get(o, row)
+                    if not a:
+                        break
+                    allowed[o] = a
+                else:
+                    for p in free:
+                        allowed.setdefault(t[p], row)
+                    k = len(allowed)
+                    kept = allowed
+                    for a in allowed.values():
+                        if a.bit_count() < k:
+                            kept = _representatives(allowed)
+                            break
+                    if kept is not None:
+                        for f, p in zip(found, firsts):
+                            o = t[p]
+                            f[o] = f.get(o, 0) | kept[o]
+        scale = self.own_scale
+        return {x: sum(r << o * scale for o, r in f.items()) for x, f in zip(distinct, found)}
 
 
 def _representatives(allowed: dict[int, int]) -> Optional[dict[int, int]]:
     """Per block, the values it takes in some system of distinct
-    representatives of the blocks' masks; None when there is no system.
+    representatives of the blocks' nonempty masks, when some block has
+    fewer values than there are blocks; None when there is no system.
 
-    With k blocks, a block of at least k values can always pick last, since
-    the other blocks take at most k - 1 of its values. So when every block
-    is that large each keeps its whole mask, and otherwise the systems of
-    the small blocks alone are enumerated, each of them holding fewer than k
-    values: a small block keeps the values it takes in one of them, and a
-    large block the values that one of them leaves free.
+    A block of at least k values, k the number of blocks, can always pick
+    last, so only the systems of the small blocks are enumerated, each of
+    them holding fewer than k values: a small block keeps the values it
+    takes in one of them, and a large block the values that one of them
+    leaves free.
     """
     k = len(allowed)
     small = [o for o, m in allowed.items() if m.bit_count() < k]
-    if not small:
-        return allowed
     kept = dict.fromkeys(small, 0)
     always = -1  # the values every system of the small blocks takes
     for choice in itertools.product(*([1 << v for v in mask_bits(allowed[o])] for o in small)):

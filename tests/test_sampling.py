@@ -275,10 +275,13 @@ def _support_mask_cases(rng, b1, b2, owner, arity):
 
     The atoms have 1 to min(arity, 4) distinct variables, some repeated.
     Each variable's mask is absent or empty, a singleton, two values inside
-    one own row, sparse, dense, the whole domain, or a few columns: the
-    elements whose other coordinate is one of one or two values. Column
-    masks leave the blocks of a factor tuple one or two other coordinates,
-    which sends three-block tuples through the exact Hall check.
+    one own row, sparse, dense, the whole domain, a few columns (the
+    elements whose other coordinate is one of one or two values), or a few
+    whole rows (the elements whose own coordinate is one of one to three
+    values). Column masks leave the blocks of a factor tuple one or two
+    other coordinates, which sends three-block tuples through the exact
+    Hall check; row masks start the scan at a position with a few live own
+    values, selective but not a singleton.
     """
     size1, size2 = b1.domain_size, b2.domain_size
     size = size1 * size2
@@ -288,7 +291,7 @@ def _support_mask_cases(rng, b1, b2, owner, arity):
         return own * size2 + other if owner is b1 else other * size2 + own
 
     def mask():
-        kind = rng.randrange(8)
+        kind = rng.randrange(9)
         if kind == 0:
             return 0
         if kind == 1:
@@ -304,6 +307,9 @@ def _support_mask_cases(rng, b1, b2, owner, arity):
             return rng.getrandbits(size) | rng.getrandbits(size)
         if kind == 5:
             return (1 << size) - 1
+        if kind == 6:
+            rows = rng.sample(range(own_size), min(own_size, rng.randint(1, 3)))
+            return sum(1 << element(o, c) for o in rows for c in range(other_size))
         columns = rng.sample(range(other_size), min(other_size, rng.randint(1, 2)))
         return sum(1 << element(o, c) for o in range(own_size) for c in columns)
 
@@ -431,6 +437,67 @@ def test_implicit_product_matches_the_materialized_reference():
         b1 = _random_factor(rng, [("R", rng.randint(1, 4)), ("Q", 2)], rng.randint(1, 4))
         b2 = _random_factor(rng, [("W", rng.randint(1, 4))], rng.randint(1, 4))
         _assert_matches_reference(b1, b2, rng)
+
+
+def test_support_scans_read_only_live_buckets(monkeypatch):
+    import conftest as helpers
+    import cspsampling.sampling as sampling
+
+    reads = []  # (position, value) of each bucket a scan reads; None for all
+    buckets, representatives = Structure.tuples_by_value, sampling._representatives
+
+    class Recorded(dict):
+        def __init__(self, grouped, position):
+            super().__init__(grouped)
+            self.position = position
+
+        def get(self, value, default=None):
+            reads.append((self.position, value))
+            return super().get(value, default)
+
+        def values(self):
+            reads.append((self.position, None))
+            return super().values()
+
+    blocks = []
+
+    def checked(allowed):
+        assert all(allowed.values()), allowed
+        blocks.append(len(allowed))
+        return representatives(allowed)
+
+    monkeypatch.setattr(
+        Structure, "tuples_by_value",
+        lambda self, name, position: Recorded(buckets(self, name, position), position),
+    )
+    monkeypatch.setattr(sampling, "_representatives", checked)
+    rng = random.Random(11)
+    order, colors = helpers.order_family(), helpers.colors_family()
+    args = ("y", "x", "z")  # x at position 1
+    for n in (3, 5):
+        (b1,), (b2,) = order.generate(n), colors.generate(n)
+        prod, ref = _implicit(b1, b2), helpers.materialized_product(b1, b2)
+        full, other = (1 << prod.domain_size) - 1, b2.domain_size
+        for target in (prod, ref):
+            reads.clear()
+            assert target.support_masks("min3", args, {"x": 0, "y": full}) == dict.fromkeys(
+                "yxz", 0
+            )
+            assert reads == []
+        for o in range(n):  # a mask inside own row o reads that row's bucket alone
+            masks = {"x": (rng.getrandbits(other) | 1) << o * other, "y": full}
+            want = helpers.scan_support_masks(ref.relations["min3"], args, masks)
+            reads.clear()
+            assert prod.support_masks("min3", args, masks) == want
+            assert reads == [(1, o)]
+    # min3 tuples have at most two distinct values; T's reach three blocks
+    three = Structure(Signature([("T", 3)]), 4, {"T": {(0, 1, 2), (1, 2, 3), (3, 1, 3)}})
+    for b1, b2, name in [(b1, b2, "min3"), (three, Structure(Signature([("U", 1)]), 3), "T")]:
+        prod, ref = _implicit(b1, b2), helpers.materialized_product(b1, b2)
+        for case_args, masks in _support_mask_cases(rng, b1, b2, b1, 3):
+            want = helpers.scan_support_masks(ref.relations[name], case_args, masks)
+            assert prod.support_masks(name, case_args, masks) == want
+    assert set(blocks) == {2, 3}
 
 
 def test_product_samples_materialize_on_demand_exactly():

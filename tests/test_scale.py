@@ -7,14 +7,17 @@ an instance with an atom of every shape, so that every index is built,
 acceptance criterion 9's 20 instances drawn for that level, a satisfiable
 three-variable ``min3`` and a planted instance made unsatisfiable by
 ``min3(w,x,y) & lt(x,w)``, and checks every verdict against the planted
-plan and every witness with ``check_witness``. Standalone:
-``PYTHONPATH=src python tests/test_scale.py``.
+plan and every witness with ``check_witness``. Standalone,
+``PYTHONPATH=src python tests/test_scale.py`` also prints each instance's
+solve time to stderr, in that order, so the last line times the
+unsatisfiable ``min3`` instance; under pytest that output stays captured.
 """
 
 import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,8 +58,11 @@ def solve_level(n: int) -> int:
     deep = [cs.Rel("min3", (w, x, y)), cs.Rel("lt", (x, w))]
     batch.append((cs.Instance.of(robot.signature, planted.atoms + tuple(deep), declared=v),
                   False))
-    for inst, satisfiable in batch:
+    for i, (inst, satisfiable) in enumerate(batch):
+        start = time.perf_counter()
         result = cs.solve_via_sampling(robot, inst)
+        print(f"instance {i}: {result.verdict} in {time.perf_counter() - start:.3f} s",
+              file=sys.stderr)
         if result.satisfiable != satisfiable:
             print(f"wrong verdict {result.verdict} on {inst}")
             return 1
