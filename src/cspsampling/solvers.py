@@ -8,8 +8,10 @@ procedures on targets with the right polymorphisms; they reject
 disequalities loudly rather than approximating them.
 
 All three share one propagation engine over integer bitmasks (element k of
-the target is bit 1 << k). Seeding narrows each variable's candidates to
-the per-position projections of its atoms, or to the diagonal for atoms on
+the target is bit 1 << k). One pass over the atoms compiles them: each
+atom reads its target's plan for its symbol and equality shape, built once
+per structure. Seeding narrows each variable's candidates to the
+per-position projections of its atoms, or to the diagonal for atoms on
 one variable. Atoms with two distinct variables become a pair of arcs, each
 revised by the target's ``arc`` query; wider atoms are revised a whole mask
 at a time by the target's ``support_masks`` query, up to the generalized
@@ -19,6 +21,12 @@ forward-checking wide atoms, and ``establish_23_consistency`` seeds its pair
 relations, kept as one bit matrix per ordered pair of variables, from it and
 closes them a whole matrix at a time.
 
+A pipeline over a sample family validates and contracts a request once and
+hands every sample's decider the result, which the decider does not check
+again. An instance passed to a solver directly is validated, its atoms are
+checked against the target's signature, and ``hom_search`` contracts its
+equalities while the consistency procedures refuse them.
+
 Per-sample runs are independent: solver calls own their mutable state and
 inputs are shared read-only, so many solves may run concurrently over one
 family. Verdicts over a family are disjunctions, independent of order.
@@ -26,6 +34,7 @@ family. Verdicts over a family are disjunctions, independent of order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import deque
@@ -56,57 +65,100 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class ACState:
-    """Per-variable candidate sets at the arc-consistency fixpoint."""
+    """Per-variable candidate sets at the arc-consistency fixpoint.
 
-    domains: Mapping[str, frozenset[int]]
+    Kept as the fixpoint's bitmasks; ``domains`` lists them as frozensets
+    on first read.
+    """
+
+    masks: Mapping[str, int]
+
+    @functools.cached_property
+    def domains(self) -> Mapping[str, frozenset[int]]:
+        return {v: frozenset(mask_bits(m)) for v, m in self.masks.items()}
 
 
-def _seed(
+class _Prepared(Instance):
+    """An instance that a pipeline has validated against its family's
+    signature and contracted, with no falsum left; a decider handed one
+    skips both steps. Only ``_over_sampling`` makes them."""
+
+
+def _admit(inst: Instance, target: Structure) -> None:
+    """Validate a raw instance and check its relation atoms against the
+    target's signature."""
+    validate(inst)
+    if inst.signature != target.signature:
+        symbols = target.signature.symbols
+        for atom in inst.atoms:
+            if isinstance(atom, Rel) and (atom.symbol, len(atom.args)) not in symbols:
+                raise SolverError(
+                    f"the target has no relation {atom.symbol!r} of arity {len(atom.args)}"
+                )
+
+
+def _plan(target: Structure, symbol: str, shape: tuple[int, ...]) -> tuple:
+    """The plan of an atom shape, cached in the target's ``_indexes``, so at
+    most one per symbol and shape, whatever instances the target has seen.
+
+    ``shape`` gives each position the first position of its variable. A
+    plan is (the first position of each distinct variable, each one's seed
+    mask: the diagonal on one variable, else the AND of the projections at
+    its positions, and the two arcs of a two-variable atom or None).
+    """
+    firsts = tuple(dict.fromkeys(shape))
+    groups = [tuple(p for p, f in enumerate(shape) if f == first) for first in firsts]
+    seeds = [target.diagonal_mask(symbol)] if len(firsts) == 1 else [
+        functools.reduce(int.__and__, [target.projection_mask(symbol, p) for p in group])
+        for group in groups
+    ]
+    pair = None
+    if len(firsts) == 2:
+        pair = (target.arc(symbol, *groups), target.arc(symbol, *groups[::-1]))
+    plan = target._indexes["plan", symbol, shape] = (firsts, seeds, pair)
+    return plan
+
+
+def _compile(
     target: Structure, variables: Sequence[str], atoms: Sequence[Rel]
-) -> dict[str, int]:
-    """Candidate masks from projections and diagonals; some may be empty."""
-    full = (1 << target.domain_size) - 1
-    cand = {v: full for v in variables}
-    for a in atoms:
-        distinct = tuple(dict.fromkeys(a.args))
-        if len(distinct) == 1:
-            cand[distinct[0]] &= target.diagonal_mask(a.symbol)
-            continue
-        for pos, v in enumerate(a.args):
-            cand[v] &= target.projection_mask(a.symbol, pos)
-    return cand
-
-
-def _arc_table(
-    target: Structure, variables: Sequence[str], atoms: Sequence[Rel]
-) -> tuple[list[tuple], dict[str, list[int]], dict[str, list[Rel]]]:
-    """Arcs, the arcs each variable's mask feeds, and the wide atoms per variable.
+) -> tuple[dict[str, int], list[tuple], dict[str, list[int]], dict[str, list[tuple]]]:
+    """Seeded masks (some may be empty), arcs, the arcs each variable's mask
+    feeds, and the wide atoms on each variable, in one pass over the atoms.
 
     An atom with two distinct variables becomes one arc per direction,
     (affected, watched, the target's ``arc`` query for that shape and
     direction). Atoms with one distinct variable are exhausted by seeding;
-    wider atoms are listed under each variable.
+    wider atoms are listed under each variable as (atom, its distinct
+    variables).
     """
+    cand = dict.fromkeys(variables, (1 << target.domain_size) - 1)
     arcs: list[tuple] = []
     arcs_watching: dict[str, list[int]] = {v: [] for v in variables}
-    atoms_of: dict[str, list[Rel]] = {v: [] for v in variables}
+    atoms_of: dict[str, list[tuple]] = {v: [] for v in variables}
+    plans = target._indexes
     for a in atoms:
         args = a.args
-        distinct = tuple(dict.fromkeys(args))
-        if len(distinct) == 1:
-            continue
-        if len(distinct) == 2:
-            x, y = distinct
-            x_pos = tuple(i for i, v in enumerate(args) if v == x)
-            y_pos = tuple(i for i, v in enumerate(args) if v == y)
-            arcs.append((y, x, target.arc(a.symbol, x_pos, y_pos)))
-            arcs_watching[x].append(len(arcs) - 1)
-            arcs.append((x, y, target.arc(a.symbol, y_pos, x_pos)))
-            arcs_watching[y].append(len(arcs) - 1)
+        shape = tuple(map(args.index, args))
+        firsts, seeds, pair = plans.get(("plan", a.symbol, shape)) or _plan(
+            target, a.symbol, shape
+        )
+        if pair is not None:
+            x, y = args[0], args[firsts[1]]
+            cand[x] &= seeds[0]
+            cand[y] &= seeds[1]
+            arcs_watching[x].append(len(arcs))
+            arcs.append((y, x, pair[0]))
+            arcs_watching[y].append(len(arcs))
+            arcs.append((x, y, pair[1]))
+        elif len(firsts) == 1:
+            cand[args[0]] &= seeds[0]
         else:
-            for v in distinct:
-                atoms_of[v].append(a)
-    return arcs, arcs_watching, atoms_of
+            distinct = tuple(args[p] for p in firsts)
+            entry = (a, distinct)
+            for v, seed in zip(distinct, seeds):
+                cand[v] &= seed
+                atoms_of[v].append(entry)
+    return cand, arcs, arcs_watching, atoms_of
 
 
 def _run_arcs(
@@ -155,9 +207,10 @@ def _run_arcs(
 def _gac_fixpoint(
     target: Structure, variables: Sequence[str], atoms: Sequence[Rel]
 ) -> Optional[
-    tuple[dict[str, int], list[tuple], dict[str, list[int]], dict[str, list[Rel]]]
+    tuple[dict[str, int], list[tuple], dict[str, list[int]], dict[str, list[tuple]]]
 ]:
-    """Masks at the GAC fixpoint with the arc table of ``_arc_table``, or None.
+    """Masks at the GAC fixpoint with the arcs and wide atoms of ``_compile``,
+    or None.
 
     Arcs run to their fixpoint, then a sweep over the wide atoms narrows
     each atom's variables to the values that some tuple within the masks
@@ -167,11 +220,10 @@ def _gac_fixpoint(
     step drops only unsupported values, so the result is the unique largest
     arc-consistent narrowing; None means a mask emptied.
     """
-    cand = _seed(target, variables, atoms)
+    cand, arcs, arcs_watching, atoms_of = _compile(target, variables, atoms)
     if not all(cand.values()):
         return None
-    arcs, arcs_watching, atoms_of = _arc_table(target, variables, atoms)
-    wide = {a: tuple(dict.fromkeys(a.args)) for listed in atoms_of.values() for a in listed}
+    wide = {a: distinct for listed in atoms_of.values() for a, distinct in listed}
     revised: dict[Rel, tuple[int, ...]] = {}  # the masks each atom was last revised at
     queue = deque(range(len(arcs)))
     while all(cand.values()) and _run_arcs(
@@ -209,12 +261,12 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     collapses to a single value. The search keeps its own stack, so
     instance depth is not bounded by recursion.
     """
-    validate(inst)
-    if inst.has_bot():
-        return SolveResult(False)
-    contracted, mapping = contract_equalities(inst)
-    if contracted.has_bot():
-        return SolveResult(False)
+    contracted, mapping = inst, None
+    if type(inst) is not _Prepared:
+        _admit(inst, target)
+        contracted, mapping = contract_equalities(inst)
+        if contracted.has_bot():
+            return SolveResult(False)
     variables = contracted.variables
     if not variables:
         return SolveResult(True, {}, None)
@@ -247,8 +299,8 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
                 if not cand[other]:
                     return False
                 touched.append(other)
-        for atom in atoms_of[var]:
-            open_vars = [x for x in dict.fromkeys(atom.args) if x not in assignment]
+        for atom, distinct in atoms_of[var]:
+            open_vars = [x for x in distinct if x not in assignment]
             if not open_vars:
                 if tuple(assignment[x] for x in atom.args) not in relations[atom.symbol]:
                     return False
@@ -288,6 +340,8 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     while True:
         if descend:
             if not unassigned:
+                if mapping is None:
+                    return SolveResult(True, {v: assignment[v] for v in variables}, None)
                 witness = {v: assignment[mapping[v]] for v in inst.variables}
                 return SolveResult(True, witness, None)
             if len(heap) > 4 * len(variables):
@@ -345,14 +399,18 @@ def check_witness(
     return True
 
 
-def _relation_atoms(inst: Instance, name: str) -> list[Rel]:
-    """The relation atoms of an instance without equalities or disequalities."""
-    validate(inst)
-    for atom in inst.atoms:
-        if isinstance(atom, Eq):
-            raise SolverError(f"{name} requires equality-contracted input")
-        if isinstance(atom, Neq):
-            raise SolverError(f"{name} does not support disequalities")
+def _relation_atoms(inst: Instance, target: Structure, name: str) -> Optional[list[Rel]]:
+    """The relation atoms of an instance without equalities or
+    disequalities, or None when it holds falsum."""
+    if type(inst) is not _Prepared:
+        _admit(inst, target)
+        for atom in inst.atoms:
+            if isinstance(atom, Eq):
+                raise SolverError(f"{name} requires equality-contracted input")
+            if isinstance(atom, Neq):
+                raise SolverError(f"{name} does not support disequalities")
+        if inst.has_bot():
+            return None
     return [a for a in inst.atoms if isinstance(a, Rel)]
 
 
@@ -365,13 +423,11 @@ def arc_consistency(inst: Instance, target: Structure) -> Optional[ACState]:
     Never reports inconsistency on a satisfiable pair. Equalities must be
     contracted away beforehand; disequalities are not supported here.
     """
-    atoms = _relation_atoms(inst, "arc consistency")
-    if inst.has_bot():
+    atoms = _relation_atoms(inst, target, "arc consistency")
+    if atoms is None:
         return None
     fixpoint = _gac_fixpoint(target, inst.variables, atoms)
-    if fixpoint is None:
-        return None
-    return ACState({v: frozenset(mask_bits(m)) for v, m in fixpoint[0].items()})
+    return None if fixpoint is None else ACState(fixpoint[0])
 
 
 def _repeat(pattern: int, period: int, count: int) -> int:
@@ -445,8 +501,8 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
     ``_MAX_PAIR_BITS`` bits in all, SolverError is raised before any is
     built.
     """
-    atoms = _relation_atoms(inst, "(2,3)-consistency")
-    if inst.has_bot():
+    atoms = _relation_atoms(inst, target, "(2,3)-consistency")
+    if atoms is None:
         return False
     variables = inst.variables
     size = target.domain_size
@@ -483,7 +539,7 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         if len(set(atom.args)) == 3:
             triples.setdefault(frozenset(atom.args), []).append(atom)
     wide_of = {
-        v: [atom for atom in atoms_of[v] if len(set(atom.args)) > 3]
+        v: [atom for atom, distinct in atoms_of[v] if len(distinct) > 3]
         for v in variables
     }
     row_full = (1 << side) - 1
@@ -523,6 +579,21 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         return dropped
 
     pair_keys = list(itertools.combinations(variables, 2))
+    plans: dict[tuple[str, str], tuple] = {}  # per pair, built at its first dequeue
+    nearby: dict[tuple[str, str], list] = {}  # per pair, built at its first change
+
+    def pair_plan(key: tuple[str, str]) -> tuple:
+        """A pair's thirds, the free ones, the bound ones with their triple
+        atoms, and the wider atoms on either side."""
+        x, y = key
+        thirds = [z for z in variables if z != x and z != y]
+        free, bound = thirds, []
+        if triples:
+            free = [z for z in thirds if frozenset((x, y, z)) not in triples]
+            bound = [(z, triples[frozenset((x, y, z))]) for z in thirds if z not in free]
+        plan = plans[key] = (thirds, free, bound, list(dict.fromkeys(wide_of[x] + wide_of[y])))
+        return plan
+
     queue: deque[tuple[str, str]] = deque(pair_keys)
     queued = set(queue)
     while queue:
@@ -530,10 +601,7 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         queued.discard(key)
         x, y = key
         old = new = pair[key]
-        thirds = [z for z in variables if z != x and z != y]
-        free = [z for z in thirds if frozenset((x, y, z)) not in triples]
-        bound = [(z, triples[frozenset((x, y, z))]) for z in thirds if z not in free]
-        wide = list(dict.fromkeys(wide_of[x] + wide_of[y]))
+        thirds, free, bound, wide = plans.get(key) or pair_plan(key)
         # (a, b) keeps a partner on z iff some w paired with a has b as a partner
         for z in free:
             if not new:
@@ -554,8 +622,13 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
                 return False
             pair[key] = new
             pair[(y, x)] = _transpose(new, swaps)
-            for other in pair_keys:
-                if other != key and (x in other or y in other) and other not in queued:
+            around = nearby.get(key)
+            if around is None:  # the other pairs sharing a variable, in queue order
+                around = nearby[key] = [
+                    other for other in pair_keys if other != key and (x in other or y in other)
+                ]
+            for other in around:
+                if other not in queued:
                     queue.append(other)
                     queued.add(other)
     return True
@@ -569,7 +642,11 @@ def _over_sampling(
 ) -> SolveResult:
     """Run ``decide`` on the samples at the instance's index, its number of
     variables after contracting equalities; the first sample it accepts
-    gives the verdict. Disequalities raise ``neq_error`` when it is set."""
+    gives the verdict. Disequalities raise ``neq_error`` when it is set.
+
+    The instance is validated, checked against the family's signature (so
+    against every sample's) and contracted here, once per request; each
+    ``decide`` call gets it as a ``_Prepared`` and skips those steps."""
     validate(inst)
     if inst.signature != family.signature:
         raise SolverError("instance signature differs from the family's signature")
@@ -578,8 +655,9 @@ def _over_sampling(
         return SolveResult(False)
     if neq_error and any(isinstance(a, Neq) for a in contracted.atoms):
         raise SolverError(neq_error)
-    for index, sample in enumerate(family.generate(len(contracted.variables))):
-        res = decide(contracted, sample)
+    prepared = _Prepared(contracted.signature, contracted.atoms, contracted.variables)
+    for index, sample in enumerate(family.generate(len(prepared.variables))):
+        res = decide(prepared, sample)
         if res.satisfiable:
             witness = None
             if res.assignment is not None:

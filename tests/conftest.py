@@ -236,11 +236,10 @@ def reference_gac_fixpoint(target, variables, atoms):
     from cspsampling import solvers
 
     buckets = _Buckets(target)
-    cand = solvers._seed(target, variables, atoms)
+    cand, arcs, arcs_watching, atoms_of = solvers._compile(target, variables, atoms)
     if not all(cand.values()):
         return None
-    arcs, arcs_watching, atoms_of = solvers._arc_table(target, variables, atoms)
-    wide = dict.fromkeys(a for listed in atoms_of.values() for a in listed)
+    wide = dict.fromkeys(a for listed in atoms_of.values() for a, _ in listed)
     queue = deque(range(len(arcs)))
     while all(cand.values()) and solvers._run_arcs(
         arcs, arcs_watching, cand, queue, set(queue), [], True
@@ -307,7 +306,7 @@ def reference_23_consistency(inst, target):
     for atom in atoms:
         if len(set(atom.args)) == 3:
             triples.setdefault(frozenset(atom.args), []).append(atom)
-    wide_of = {v: [a for a in atoms_of[v] if len(set(a.args)) > 3] for v in variables}
+    wide_of = {v: [a for a, _ in atoms_of[v] if len(set(a.args)) > 3] for v in variables}
 
     def holds(extra, values):
         return all(tuple(values[v] for v in a.args) in target.relations[a.symbol] for a in extra)

@@ -127,6 +127,16 @@ def test_solve_via_sampling_signature_mismatch():
         cs.solve_via_sampling(fam, other)
 
 
+def test_targets_without_the_instances_relations_are_refused():
+    only_f = Structure(Signature([("F", 2)]), 2, {"F": {(0, 1)}})
+    missing = Instance.of(Signature([("E", 2)]), [Rel("E", ("x", "y"))])
+    wider = Instance.of(Signature([("F", 3)]), [Rel("F", ("x", "y", "z"))])
+    for solver in (cs.hom_search, cs.arc_consistency, cs.establish_23_consistency):
+        for inst, symbol in ((missing, "'E'"), (wider, "'F'")):
+            with pytest.raises(cs.SolverError, match=symbol):
+                solver(inst, only_f)
+
+
 def test_arc_consistency_edge_instance():
     inst = Instance.of(EDGE.signature, [Rel("E", ("x", "y"))])
     state = cs.arc_consistency(inst, EDGE)
@@ -581,3 +591,65 @@ def test_gac_fixpoint_makes_one_wide_query_per_atom_per_sweep(monkeypatch, robot
         assert len(calls) <= len(wide) * len(sweeps)
         total += len(calls)
     assert total >= 30
+
+
+def _bell(k):
+    """The number of equality shapes of k positions."""
+    row = [1]
+    for _ in range(k - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+def test_plans_are_cached_per_symbol_and_shape_not_per_instance():
+    family = cs.product_sampling(helpers.order_family(), helpers.colors_family())
+    rng = random.Random(23)
+    levels = set()
+    for i in range(500):
+        inst = helpers.random_instance(family.signature, rng, max_vars=4, max_atoms=6)
+        rename = {v: f"r{i}_{v}" for v in inst.variables}
+        fresh = Instance.of(family.signature, [
+            Rel(a.symbol, [rename[x] for x in a.args]) if isinstance(a, Rel)
+            else type(a)(rename[a.left], rename[a.right]) if isinstance(a, (Eq, Neq))
+            else a
+            for a in inst.atoms
+        ], declared=[rename[v] for v in inst.variables])
+        contracted, _ = cs.contract_equalities(fresh)
+        levels.add(len(contracted.variables))
+        cs.solve_via_sampling(family, fresh)
+        if not any(isinstance(a, Neq) for a in contracted.atoms):
+            cs.solve_ac_over_sampling(family, fresh)
+    shapes = sum(_bell(arity) for _, arity in family.signature)
+    for n in levels:
+        for sample in family.generate(n):
+            plans = [key for key in sample._indexes if key[0] == "plan"]
+            assert 0 < len(plans) <= shapes, n
+
+
+def test_raw_instances_keep_the_public_contract():
+    sig = TWO_COLORING.signature
+    raw = Instance.of(sig, [Rel("E", ("x", "y")), Rel("E", ("y", "z")), Eq("x", "w")])
+    res = cs.hom_search(raw, TWO_COLORING)
+    assert res.satisfiable and res.assignment["x"] == res.assignment["w"]
+    assert cs.check_witness(raw, TWO_COLORING, res.assignment)
+    for solver in (cs.arc_consistency, cs.establish_23_consistency):
+        with pytest.raises(cs.SolverError, match="equality-contracted"):
+            solver(raw, TWO_COLORING)
+
+
+def test_ac_states_list_their_domains_and_compare_by_them():
+    states = []
+    for inst, target in _reference_corpus():
+        state = cs.arc_consistency(inst, target)
+        assert (None if state is None else state.domains) == helpers.brute_force_gac(
+            inst, target
+        ), inst.atoms
+        if state is not None:
+            states.append(state)
+    assert len(states) > 100
+    for first, second in zip(states, states[1:] + states[:1]):
+        assert (first == second) == (first.domains == second.domains)
+    assert all(state == cs.ACState(dict(state.masks)) for state in states)
