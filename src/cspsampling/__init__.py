@@ -31,6 +31,7 @@ from .formulas import (
     validate,
 )
 from .model import (
+    RuleRelation,
     Signature,
     SignatureError,
     Structure,
@@ -50,7 +51,6 @@ from .polymorphisms import (
 )
 from .qf import DefinitionError, evaluate_definition, parse_definition
 from .sampling import (
-    ProductStructure,
     SampleFamily,
     SamplingError,
     VerificationReport,
@@ -85,8 +85,8 @@ __all__ = [
     "InstanceError",
     "Neq",
     "OperationTable",
-    "ProductStructure",
     "Rel",
+    "RuleRelation",
     "SampleFamily",
     "SamplingError",
     "SearchCapExceeded",

@@ -6,31 +6,29 @@ output uses sorted lexicographic tuple order so results are deterministic.
 All values are immutable after construction and safe to share across
 concurrent solver runs.
 
-Solvers make five queries of a relation: ``projection_mask`` and
+Solvers make four queries of a relation: ``projection_mask`` and
 ``diagonal_mask``, read from one cached index per relation; ``arc``, the
 two-variable arc query of one shape and direction, whose object answers
 ``revise`` (narrow the affected mask against the watched one) and
-``partners`` (the affected values paired with one watched value);
+``partners`` (the affected values paired with one watched value); and
 ``support_masks``, which revises an atom with three or more distinct
 variables a whole mask at a time (the values each variable takes in the
-tuples within the given masks); and tuple membership in ``relations``.
-Two kinds of structure answer them. A ``Structure`` holds its tuple sets
-and builds the index in a single pass over them. A product sample
-(``sampling.ProductStructure``) keeps its two factors and answers every
-query from them: its index is lifted from the owning factor's, wide atoms
-are revised from the owning factor's tuples, and a tuple is built only
-when a caller iterates a relation. Both kinds build arcs in one
-``Structure._build_arc``, which hands the shape's partner dicts from the
-index to the kind's ``arc_class``: ``TableArc`` over listed partner masks,
-or the product's ``_ProductArc`` over lifted factor masks.
-``shaped_masks``, both directions' partner masks of a shape, is a view
-read off the two arcs.
+tuples within the given masks). Two kinds of relation answer them. A
+listed one is a frozenset of tuples, indexed in one pass over them, with
+``TableArc`` arcs. A ``RuleRelation``, such as a product sample's, keeps
+the rule that defines it and answers the index, ``support_masks`` and its
+arc class itself, building a tuple only when a caller iterates it.
+``Structure`` caches both kinds' answers and builds their arcs in one
+``_build_arc``; ``shaped_masks``, both directions' partner masks of a
+shape, is a view read off the two arcs.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from abc import abstractmethod
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -84,6 +82,25 @@ class TableArc:
         return new
 
 
+class RuleRelation(Set):
+    """A relation kept as the rule that defines it, answering the solver
+    queries itself. ``in``, ``len`` and iteration are its membership test,
+    count and listing; ``Structure._build_arc`` builds its ``arc_class``
+    over the index's partner dicts."""
+
+    arity: int
+    domain_size: int
+    arc_class: type
+
+    @abstractmethod
+    def index(self) -> tuple[tuple[int, ...], int, dict]:
+        """The projections, diagonal and partner dicts of ``Structure._index``."""
+
+    @abstractmethod
+    def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
+        """``Structure.support_masks`` of this relation."""
+
+
 @dataclass(frozen=True)
 class Signature:
     """An ordered set of relation symbols with arities."""
@@ -132,17 +149,18 @@ class Signature:
 
 @dataclass(frozen=True, eq=False)
 class Structure:
-    """A finite relational structure: dense integer domain plus tuple sets.
+    """A finite relational structure: dense integer domain plus relations.
 
     ``relations`` always has an entry (possibly empty) for every signature
     symbol; every tuple has the symbol's arity and entries < domain_size.
+    A ``RuleRelation`` is kept as given, once its arity and domain size are
+    checked; any other relation is frozen into a set of tuples.
     """
 
     signature: Signature
     domain_size: int
-    relations: Mapping[str, frozenset[tuple[int, ...]]]
+    relations: Mapping[str, Set[tuple[int, ...]]]
     labels: tuple[str, ...] | None = field(default=None)
-    arc_class = TableArc  # what ``arc`` builds over the index's partner dicts
 
     def __init__(
         self,
@@ -157,9 +175,15 @@ class Structure:
         for name in relations:
             if name not in signature:
                 raise SignatureError(f"relation {name!r} not in signature")
-        frozen: dict[str, frozenset[tuple[int, ...]]] = {}
+        frozen: dict[str, Set[tuple[int, ...]]] = {}
         for name, arity in signature:
-            tuples = frozenset(tuple(t) for t in relations.get(name, ()))
+            rel = relations.get(name, ())
+            if isinstance(rel, RuleRelation):
+                if (rel.arity, rel.domain_size) != (arity, domain_size):
+                    raise ValueError(f"rule relation {name} is not {arity}-ary on {domain_size}")
+                frozen[name] = rel
+                continue
+            tuples = frozenset(tuple(t) for t in rel)
             for t in tuples:
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong length for {name}/{arity}")
@@ -214,8 +238,12 @@ class Structure:
         no tuple supports the atom. The scan starts where ``live_tuples``
         says, a value of a mask being live: it reads the buckets of the
         smallest mask's values (one bucket for a singleton, none for an
-        empty mask), or every tuple when no variable has a mask.
+        empty mask), or every tuple when no variable has a mask. A rule
+        relation answers for itself.
         """
+        rel = self.relations[name]
+        if isinstance(rel, RuleRelation):
+            return rel.support_masks(args, masks)
         distinct, firsts, repeats = atom_layout(args)
         given = [masks.get(x) for x in distinct]
         live = [None if m is None else list(mask_bits(m)) for m in given]
@@ -253,11 +281,15 @@ class Structure:
         pair of position groups, its equality pattern; its partner masks are
         filed under that pattern, forward from the group holding position 0.
         Constant tuples fit every shape and are kept only in the diagonal.
+        A rule relation answers with its own ``index``.
         """
         key = ("index", name)
         cached = self._indexes.get(key)
         if cached is None:
             tuples = self.relations[name]
+            if isinstance(tuples, RuleRelation):
+                self._indexes[key] = tuples.index()
+                return self._indexes[key]
             columns = ({t[p] for t in tuples} for p in range(self.signature.arity(name)))
             projections = tuple(sum(1 << v for v in c) for c in columns)
             diagonal = 0
@@ -318,9 +350,10 @@ class Structure:
         return cached
 
     def _build_arc(self, name: str, watched: tuple[int, ...], affected: tuple[int, ...]):
-        """The kind's ``arc_class`` over the shape's partner dicts from the
-        index, turned to run from the watched to the affected positions.
-        Raises unless the two groups partition the relation's positions."""
+        """The relation's arc class over the shape's partner dicts from the
+        index, turned to run from the watched to the affected positions: a
+        rule relation's ``arc_class``, else ``TableArc``. Raises unless the
+        two groups partition the relation's positions."""
         arity = self.signature.arity(name)
         pattern = tuple(p in (watched if 0 in watched else affected) for p in range(arity))
         if all(pattern) or sorted(watched + affected) != list(range(arity)):
@@ -329,7 +362,9 @@ class Structure:
         to_affected, to_watched = shapes.get(pattern, ({}, {}))
         if 0 not in watched:
             to_affected, to_watched = to_watched, to_affected
-        return self.arc_class(self, name, to_affected, to_watched, diagonal)
+        rel = self.relations[name]
+        arc_class = rel.arc_class if isinstance(rel, RuleRelation) else TableArc
+        return arc_class(self, name, to_affected, to_watched, diagonal)
 
 
 def mask_bits(mask: int) -> Iterator[int]:

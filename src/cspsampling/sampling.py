@@ -14,24 +14,24 @@ are decided syntactically, so the index never matters for them.
 Samples inside one generate(n) result are kept as separate structures;
 collapsing them into one disjoint union can destroy equality matching.
 
-Product samples are ``ProductStructure`` values: each relation stays the
-test on its factors that defines it, and the solver queries are answered
-from the factors' own indexes, so a product level costs its factor tuples
-plus O(|D_own|) big-integer masks per relation shape, not its |D|^k tuples.
+A product sample's relations are rule relations (``_ProductRelation``):
+each stays the test on its factors that defines it and answers the solver
+queries from the owning factor's index and tuples, so a product level costs
+its factor tuples plus O(|D_own|) big-integer masks per relation shape, not
+its |D|^k tuples, and an expansion of it lists only the relations it adds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import qf
 from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
-from .model import Signature, Structure, atom_layout, live_tuples, mask_bits
+from .model import RuleRelation, Signature, Structure, atom_layout, live_tuples, mask_bits
 
 Decider = Callable[[Instance], bool]
 
@@ -222,12 +222,12 @@ def product_sampling(s1: SampleFamily, s2: SampleFamily) -> SampleFamily:
     first signature iff its first-coordinate equality pattern equals its
     second-coordinate equality pattern and the first-coordinate projection
     is in the factor relation; symmetrically for the second signature.
-    The total size at n is the product of the factor sizes at n. Samples
-    are ``ProductStructure`` values that keep this definition as a test and
-    list no tuple unless a caller iterates a relation. A level with a
-    sample over ``_MAX_ELEMENTS`` elements, or whose samples' indexes could
-    hold more than ``_MAX_INDEX_BITS`` mask bits in all (``_index_bits``),
-    raises SamplingError before any of them is built.
+    The total size at n is the product of the factor sizes at n. Each
+    relation of a sample is a ``_ProductRelation`` that keeps this
+    definition as a test and lists no tuple unless a caller iterates it. A
+    level with a sample over ``_MAX_ELEMENTS`` elements, or whose samples'
+    indexes could hold more than ``_MAX_INDEX_BITS`` mask bits in all
+    (``_index_bits``), raises SamplingError before any of them is built.
     """
     for s in (s1, s2):
         if not s.equality_matching:
@@ -273,10 +273,10 @@ def _product_count(tuples: Iterable[tuple[int, ...]], other_size: int) -> int:
 def _factor_index(factor: Structure, name: str, other_size: int) -> tuple:
     """The owning factor's ``Structure._index`` of a relation, over the factor
     tuples that give product tuples: those with at most ``other_size``
-    distinct values. A product factor is read through its tuples, since its
-    own index is keyed by coordinate."""
+    distinct values. A rule relation is read through its tuples, since a
+    product relation's own index is keyed by coordinate."""
     arity = factor.signature.arity(name)
-    if other_size >= arity and not isinstance(factor, ProductStructure):
+    if other_size >= arity and not isinstance(factor.relations[name], RuleRelation):
         return factor._index(name)
     kept = [t for t in factor.relations[name] if len(set(t)) <= other_size]
     view = Structure(Signature([(name, arity)]), factor.domain_size, {name: kept})
@@ -298,7 +298,62 @@ def _index_bits(b1: Structure, b2: Structure) -> int:
     return masks * b1.domain_size * b2.domain_size
 
 
-class _ProductRelation(Set):
+class _ProductArc:
+    """One direction of a two-variable atom on a product relation.
+
+    Element (o, y) has own coordinate o in the owning factor and other
+    coordinate y. A two-valued product tuple has two distinct values in
+    both coordinates and a constant one is constant in both, so the
+    partners of watched (o, y) are the lifted factor partners of o outside
+    the column of y, plus (o, y) itself when it is on the lifted diagonal.
+    ``revise`` keeps the self-supported values, then takes each affected
+    own row with factor partners: the watched values within the row's
+    lifted partners support the whole row when they reach two columns, the
+    row outside their column when they lie in one, and none of it when
+    there are none. That is O(|D_own|) mask operations, where listed
+    partner masks would take one per product value.
+    """
+
+    __slots__ = ("_to_affected", "_rows", "_diagonal", "_own_scale", "_own_size", "_column")
+
+    def __init__(
+        self, structure: Structure, name: str,
+        to_affected: dict[int, int], to_watched: dict[int, int], diagonal: int,
+    ):
+        rel = structure.relations[name]
+        self._to_affected = to_affected
+        self._rows = tuple(
+            (rel.row << o * rel.own_scale, lifted) for o, lifted in to_watched.items()
+        )
+        self._diagonal = diagonal
+        self._own_scale = rel.own_scale
+        self._own_size = rel.own_size
+        self._column = rel.column
+
+    def partners(self, value: int) -> int:
+        o = value // self._own_scale % self._own_size
+        mask = self._to_affected.get(o, 0)
+        if mask:
+            mask &= ~(self._column << value - o * self._own_scale)
+        if self._diagonal >> value & 1:
+            mask |= 1 << value
+        return mask
+
+    def revise(self, dom_affected: int, dom_watched: int) -> int:
+        own_scale, own_size, column = self._own_scale, self._own_size, self._column
+        keep = dom_affected & dom_watched & self._diagonal
+        for row, lifted in self._rows:
+            row_affected = dom_affected & row
+            if row_affected:
+                support = dom_watched & lifted
+                if support:
+                    low = (support & -support).bit_length() - 1
+                    at = column << low - low // own_scale % own_size * own_scale
+                    keep |= row_affected & ~at if support & at == support else row_affected
+        return keep
+
+
+class _ProductRelation(RuleRelation):
     """One relation of a product sample, kept as a test on its owning factor.
 
     An element of the product has an own coordinate o in the factor that
@@ -306,8 +361,12 @@ class _ProductRelation(Set):
     is ``o * own_scale + y * other_scale``. A tuple is in the relation when
     its own-coordinate projection is in the factor relation and both
     coordinates have one equality pattern. Membership and ``len`` build no
-    tuple; iterating generates them, one factor tuple at a time.
+    tuple; iterating generates them, one factor tuple at a time. The index
+    is lifted from the factor's, arcs are ``_ProductArc``s over its lifted
+    partner masks, and ``support_masks`` scans the factor's tuples.
     """
+
+    arc_class = _ProductArc
 
     def __init__(
         self, factor: Structure, name: str, own_scale: int, other_scale: int, other_size: int
@@ -364,6 +423,22 @@ class _ProductRelation(Set):
                 yield tuple(
                     bases[i] + assign[pattern[i]] * self.other_scale for i in positions
                 )
+
+    def index(self) -> tuple[tuple[int, ...], int, dict]:
+        """``Structure._index`` lifted from the owning factor's index.
+
+        Only factor tuples with at most ``other_size`` distinct values give
+        product tuples. Projections and the diagonal are the factor's,
+        lifted to every other coordinate. Each shape keeps, per direction,
+        one lifted factor partner mask per own value with partners: the
+        O(|D_own|) masks that ``_ProductArc`` answers from.
+        """
+        projections, diagonal, partners = _factor_index(self.factor, self.name, self.other_size)
+        shapes = {
+            pattern: tuple({o: self.lift(m) for o, m in side.items()} for side in sides)
+            for pattern, sides in partners.items()
+        }
+        return tuple(map(self.lift, projections)), self.lift(diagonal), shapes
 
     def lift(self, mask: int) -> int:
         """The product elements whose own coordinate is in a factor mask."""
@@ -466,122 +541,9 @@ def _representatives(allowed: dict[int, int]) -> Optional[dict[int, int]]:
     return {o: kept[o] if o in kept else m & ~always for o, m in allowed.items()}
 
 
-class _ProductArc:
-    """One direction of a two-variable atom on a product relation.
-
-    Element (o, y) has own coordinate o in the owning factor and other
-    coordinate y. A two-valued product tuple has two distinct values in
-    both coordinates and a constant one is constant in both, so the
-    partners of watched (o, y) are the lifted factor partners of o outside
-    the column of y, plus (o, y) itself when it is on the lifted diagonal.
-    ``revise`` keeps the self-supported values, then takes each affected
-    own row with factor partners: the watched values within the row's
-    lifted partners support the whole row when they reach two columns, the
-    row outside their column when they lie in one, and none of it when
-    there are none. That is O(|D_own|) mask operations, where listed
-    partner masks would take one per product value.
-    """
-
-    __slots__ = ("_to_affected", "_rows", "_diagonal", "_own_scale", "_own_size", "_column")
-
-    def __init__(
-        self, structure: ProductStructure, name: str,
-        to_affected: dict[int, int], to_watched: dict[int, int], diagonal: int,
-    ):
-        rel = structure.relations[name]
-        self._to_affected = to_affected
-        self._rows = tuple(
-            (rel.row << o * rel.own_scale, lifted) for o, lifted in to_watched.items()
-        )
-        self._diagonal = diagonal
-        self._own_scale = rel.own_scale
-        self._own_size = rel.own_size
-        self._column = rel.column
-
-    def partners(self, value: int) -> int:
-        o = value // self._own_scale % self._own_size
-        mask = self._to_affected.get(o, 0)
-        if mask:
-            mask &= ~(self._column << value - o * self._own_scale)
-        if self._diagonal >> value & 1:
-            mask |= 1 << value
-        return mask
-
-    def revise(self, dom_affected: int, dom_watched: int) -> int:
-        own_scale, own_size, column = self._own_scale, self._own_size, self._column
-        keep = dom_affected & dom_watched & self._diagonal
-        for row, lifted in self._rows:
-            row_affected = dom_affected & row
-            if row_affected:
-                support = dom_watched & lifted
-                if support:
-                    low = (support & -support).bit_length() - 1
-                    at = column << low - low // own_scale % own_size * own_scale
-                    keep |= row_affected & ~at if support & at == support else row_affected
-        return keep
-
-
-class ProductStructure(Structure):
-    """A product sample that answers every solver query from its two factors.
-
-    ``relations`` maps each name to a ``_ProductRelation``: membership is
-    the pattern test and ``len`` a count, and a tuple is built only when a
-    caller iterates (printing, polymorphism checks, equality, expansion).
-    The relation index is lifted from the owning factor's index, arcs are
-    ``_ProductArc``s over its O(|D_own|) lifted partner masks per shape,
-    and ``support_masks`` scans the owning factor's tuples, so building and
-    solving cost O(factor tuples) plus O(|D_own|) big-integer mask
-    operations per revision instead of O(product tuples) or O(|D|).
-    ``projection_mask``, ``diagonal_mask``, ``arc`` and ``shaped_masks``
-    are the inherited methods over that index.
-    """
-
-    arc_class = _ProductArc
-
-    def __init__(
-        self,
-        signature: Signature,
-        domain_size: int,
-        relations: Mapping[str, _ProductRelation],
-        labels: Optional[Sequence[str]],
-    ):
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "domain_size", domain_size)
-        object.__setattr__(self, "relations", dict(relations))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_indexes", {})
-
-    def _index(self, name: str) -> tuple[tuple[int, ...], int, dict]:
-        """``Structure._index`` lifted from the owning factor's index.
-
-        Only factor tuples with at most ``other_size`` distinct values give
-        product tuples. Projections and the diagonal are the factor's,
-        lifted to every other coordinate. Each shape keeps, per direction,
-        one lifted factor partner mask per own value with partners: the
-        O(|D_own|) masks that ``_ProductArc`` answers from.
-        """
-        key = ("index", name)
-        cached = self._indexes.get(key)
-        if cached is None:
-            rel = self.relations[name]
-            projections, diagonal, partners = _factor_index(rel.factor, name, rel.other_size)
-            shapes = {
-                pattern: tuple({o: rel.lift(m) for o, m in side.items()} for side in sides)
-                for pattern, sides in partners.items()
-            }
-            lifted = tuple(map(rel.lift, projections)), rel.lift(diagonal), shapes
-            cached = self._indexes[key] = lifted
-        return cached
-
-    def support_masks(
-        self, name: str, args: tuple[str, ...], masks: Mapping[str, int]
-    ) -> dict[str, int]:
-        return self.relations[name].support_masks(args, masks)
-
-
 def _product_structure(
     b1: Structure, b2: Structure, signature: Signature, first_names: set[str]
-) -> ProductStructure:
+) -> Structure:
     """One product sample; pair (a, b) gets element id a * |B2| + b.
 
     Each relation stays a test on the factor that owns it; no product tuple
@@ -599,7 +561,7 @@ def _product_structure(
         else _ProductRelation(b2, name, 1, size2, size1)
         for name, _ in signature
     }
-    return ProductStructure(signature, size1 * size2, relations, labels)
+    return Structure(signature, size1 * size2, relations, labels)
 
 
 def _union_decider(

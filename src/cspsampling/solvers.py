@@ -256,8 +256,9 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     order. The search starts from the GAC fixpoint of the shared engine;
     during search, wider atoms are forward-checked by one ``support_masks``
     query with the assigned variables' singleton masks, which narrows each
-    open variable to the values some tuple through the assignment gives it,
-    and two-variable atoms are enforced exactly whenever either side
+    open variable to the values some tuple through the assignment gives it
+    (so a fully assigned atom holds with no membership test), and
+    two-variable atoms are enforced exactly whenever either side
     collapses to a single value. The search keeps its own stack, so
     instance depth is not bounded by recursion.
     """
@@ -284,7 +285,6 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
 
     assignment: dict[str, int] = {}
     unassigned = set(variables)
-    relations = target.relations
 
     def propagate(var: str, value: int, trail: list) -> bool:
         touched = []
@@ -301,9 +301,7 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
                 touched.append(other)
         for atom, distinct in atoms_of[var]:
             open_vars = [x for x in distinct if x not in assignment]
-            if not open_vars:
-                if tuple(assignment[x] for x in atom.args) not in relations[atom.symbol]:
-                    return False
+            if not open_vars:  # the check at the last open variable left only supports
                 continue
             # assigned variables keep singleton masks; open ones are unfiltered
             fixed = {x: cand[x] for x in atom.args if x in assignment}

@@ -325,7 +325,7 @@ def _assert_matches_reference(b1, b2, rng):
     import conftest as helpers
 
     prod, ref = _implicit(b1, b2), helpers.materialized_product(b1, b2)
-    assert isinstance(prod, cs.ProductStructure)
+    assert all(isinstance(r, cs.RuleRelation) for r in prod.relations.values())
     size = ref.domain_size
     assert prod.domain_size == size and prod.labels == ref.labels
     for name, arity in ref.signature:
@@ -538,27 +538,122 @@ def test_product_samples_materialize_on_demand_exactly():
                 assert cs.check_witness(contracted, prod, found.assignment)
 
 
-def test_building_and_solving_a_product_level_builds_no_tuple(monkeypatch):
-    import conftest as helpers
+def _refuse(monkeypatch, method):
+    """Make a product relation's ``method`` raise while the patch holds."""
     import cspsampling.sampling as sampling
 
-    def iterated(self):
-        raise AssertionError(f"product relation {self.name} was iterated")
+    def refused(self, *args):
+        raise AssertionError(f"product relation {self.name} was asked {method}")
 
-    monkeypatch.setattr(sampling._ProductRelation, "__iter__", iterated)
+    monkeypatch.setattr(sampling._ProductRelation, method, refused)
+
+
+def test_building_and_solving_a_product_level_builds_no_tuple(monkeypatch):
+    """No product tuple is listed, and the solvers test no membership:
+    ``__contains__`` raises while they run and is restored for
+    ``check_witness``, the independent check."""
+    import conftest as helpers
+
+    _refuse(monkeypatch, "__iter__")
     robot = cs.product_sampling(helpers.order_family(), helpers.colors_family())
     (sample,) = robot.generate(8)
-    assert isinstance(sample, cs.ProductStructure)
+    assert all(isinstance(r, cs.RuleRelation) for r in sample.relations.values())
     assert sum(len(r) for r in sample.relations.values()) > 0
     rng = random.Random(3)
+    wide = 0
     for _ in range(40):
         inst = helpers.random_instance(robot.signature, rng, max_vars=7, max_atoms=8)
         contracted, _ = cs.contract_equalities(inst)
-        res = cs.solve_via_sampling(robot, inst)
+        with monkeypatch.context() as solving:
+            _refuse(solving, "__contains__")
+            res = cs.solve_via_sampling(robot, inst)
+            if not any(isinstance(a, Neq) for a in contracted.atoms):
+                cs.solve_ac_over_sampling(robot, inst)
+                if len(contracted.variables) <= 6:  # the pair closure is slow past that
+                    cs.solve_nu_over_sampling(robot, inst)
         if res.satisfiable:
             target = robot.generate(len(contracted.variables))[res.sample_index]
             assert cs.check_witness(inst, target, res.assignment)
+            wide += any(len(set(a.args)) > 2 for a in contracted.atoms if isinstance(a, Rel))
+    assert wide > 0  # some witness fully assigned a wide atom
+
+
+_EQUALITY_DEFS = [("same", 2, "x1 = x2"), ("meet", 3, "x1 = x2 | x1 = x3")]
+
+
+def test_an_expanded_product_level_lists_no_product_tuple(monkeypatch):
+    import conftest as helpers
+
+    _refuse(monkeypatch, "__iter__")
+    robot = cs.product_sampling(helpers.order_family(), helpers.colors_family())
+    expanded = cs.equality_expansion(robot, _EQUALITY_DEFS)
+    (sample,) = expanded.generate(8)
+    assert isinstance(sample.relations["min3"], cs.RuleRelation)
+    assert len(sample.relations["same"]) == sample.domain_size
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(30):
+        inst = helpers.random_instance(expanded.signature, rng, max_vars=8, max_atoms=10)
+        contracted, _ = cs.contract_equalities(inst)
+        res = cs.solve_via_sampling(expanded, inst)
+        verdicts.add(res.satisfiable)
+        if res.satisfiable:
+            target = expanded.generate(len(contracted.variables))[res.sample_index]
+            assert cs.check_witness(inst, target, res.assignment)
         if not any(isinstance(a, Neq) for a in contracted.atoms):
-            cs.solve_ac_over_sampling(robot, inst)
-            if len(contracted.variables) <= 6:  # the pair closure is slow past that
-                cs.solve_nu_over_sampling(robot, inst)
+            cs.solve_ac_over_sampling(expanded, inst)
+            if len(contracted.variables) <= 5:  # the pair closure is slow past that
+                cs.solve_nu_over_sampling(expanded, inst)
+    assert verdicts == {True, False}
+
+
+def test_expanded_products_agree_with_listed_copies_and_deciders(robot_theory):
+    import conftest as helpers
+
+    expanded = cs.equality_expansion(robot_theory, _EQUALITY_DEFS)
+    rng = random.Random(17)
+    for n in range(1, 7):
+        (sample,) = expanded.generate(n)
+        listed = Structure(
+            sample.signature, sample.domain_size,
+            {name: frozenset(r) for name, r in sample.relations.items()},
+        )
+        for _ in range(15):
+            inst = helpers.random_instance(expanded.signature, rng, max_vars=n, max_atoms=8)
+            assert cs.solve_via_sampling(expanded, inst).satisfiable == expanded.decider(inst)
+            contracted, _ = cs.contract_equalities(inst)
+            if contracted.has_bot():
+                continue
+            assert cs.hom_search(contracted, sample) == cs.hom_search(contracted, listed)
+            if any(isinstance(a, Neq) for a in contracted.atoms):
+                continue
+            assert cs.arc_consistency(contracted, sample) == cs.arc_consistency(contracted, listed)
+            if len(contracted.variables) <= 4:  # the listed pair closure is slow past that
+                assert cs.establish_23_consistency(
+                    contracted, sample
+                ) == cs.establish_23_consistency(contracted, listed)
+
+
+def test_a_product_of_an_expanded_product_agrees_with_its_decider(robot_theory):
+    import conftest as helpers
+
+    nested = cs.product_sampling(
+        cs.equality_expansion(robot_theory, _EQUALITY_DEFS), cs.colored_partition_sampling(3)
+    )
+    rng = random.Random(19)
+    verdicts = []
+    for _ in range(40):
+        inst = helpers.random_instance(nested.signature, rng, max_vars=4, max_atoms=7)
+        verdicts.append(nested.decider(inst))
+        assert cs.solve_via_sampling(nested, inst).satisfiable == verdicts[-1], inst.atoms
+    assert 5 < sum(verdicts) < len(verdicts) - 5
+
+
+def test_structures_keep_rule_relations_of_their_own_shape(robot_theory):
+    (sample,) = robot_theory.generate(3)
+    lt, size = sample.relations["lt"], sample.domain_size
+    pair = Signature([("r", 2)])
+    assert Structure(pair, size, {"r": lt}).relations["r"] is lt
+    for sig, domain_size in ((Signature([("r", 3)]), size), (pair, size + 1)):
+        with pytest.raises(ValueError, match="rule relation"):
+            Structure(sig, domain_size, {"r": lt})

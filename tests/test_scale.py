@@ -1,7 +1,7 @@
 """A large product level builds and solves in bounded memory.
 
 Under pytest this file starts itself as a script in a subprocess capped at
-256 MiB of address space. The script builds level 96 of the robot
+256 MiB of address space, and the CLI in another under the same cap. The script builds level 96 of the robot
 scheduling product (|D| = 18,432, standing for about 5e8 tuples), solves
 an instance with an atom of every shape, so that every index is built,
 acceptance criterion 9's 20 instances drawn for that level, a satisfiable
@@ -11,8 +11,12 @@ plan and every witness with ``check_witness``. Standalone,
 ``PYTHONPATH=src python tests/test_scale.py`` also prints each instance's
 solve time to stderr, in that order, so the last line times the
 unsatisfiable ``min3`` instance; under pytest that output stays captured.
+The CLI solves a 48-variable chain over an expansion of that product by
+equality-defined relations, which must keep the product's relations
+implicit too.
 """
 
+import json
 import random
 import resource
 import subprocess
@@ -72,16 +76,50 @@ def solve_level(n: int) -> int:
     return 0
 
 
-def test_level_96_solves_under_a_256_mib_cap():
+def _capped(*args: str) -> subprocess.CompletedProcess:
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
 
-    proc = subprocess.run(
-        [sys.executable, __file__],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
         env={"PYTHONPATH": str(ROOT / "src")},
     )
+
+
+def test_level_96_solves_under_a_256_mib_cap():
+    proc = _capped(__file__)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+EXPANDED_THEORY = (ROOT / "theories" / "robot_scheduling.theory").read_text() + """
+theory expanded = expand(schedule) {
+  rel same/2 = "x1 = x2";
+}
+"""
+
+
+def test_cli_solves_an_expanded_product_under_a_256_mib_cap(tmp_path):
+    import cspsampling as cs
+    from cspsampling import io
+
+    chain = [f"lt(x{i},x{i + 1})" for i in range(1, 48)]
+    text = "\n".join(chain + ["p0(x1)", "p1(x48)", "same(x5,x5)", "min3(x1,x1,x7)"])
+    (tmp_path / "expanded.theory").write_text(EXPANDED_THEORY)
+    (tmp_path / "chain.inst").write_text(text)
+    proc = _capped(
+        "-m", "cspsampling.cli", "solve", "--json",
+        "--theory", str(tmp_path / "expanded.theory"), "--instance", str(tmp_path / "chain.inst"),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout)
+    family = io.parse_theory_spec(EXPANDED_THEORY).family("expanded")
+    inst = io.parse_instance(text, family.signature)
+    sample = family.generate(48)[report["sample_index"]]
+    element = {sample.label(e): e for e in range(sample.domain_size)}
+    assert len(element) == sample.domain_size
+    witness = {v: element[label] for v, label in report["witness"].items()}
+    assert cs.check_witness(inst, sample, witness)
 
 
 if __name__ == "__main__":

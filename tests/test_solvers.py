@@ -551,7 +551,6 @@ def test_whole_mask_steps_match_their_per_value_references(monkeypatch):
 
     monkeypatch.setattr(solvers, "_gac_fixpoint", helpers.reference_gac_fixpoint)
     monkeypatch.setattr(Structure, "support_masks", helpers.reference_support_masks)
-    monkeypatch.setattr(cs.ProductStructure, "support_masks", helpers.reference_support_masks)
     for (inst, target), state, closure, witness in zip(corpus, states, closures, witnesses):
         reference = cs.arc_consistency(inst, target)
         assert state == (None if reference is None else reference.domains), inst.atoms
@@ -563,7 +562,7 @@ def test_gac_fixpoint_makes_one_wide_query_per_atom_per_sweep(monkeypatch, robot
     from cspsampling import solvers
 
     calls, sweeps = [], []
-    query = cs.ProductStructure.support_masks
+    query = Structure.support_masks
     run_arcs = solvers._run_arcs
 
     def counted_query(self, name, args, masks):
@@ -576,7 +575,7 @@ def test_gac_fixpoint_makes_one_wide_query_per_atom_per_sweep(monkeypatch, robot
             sweeps.append(None)
         return passed
 
-    monkeypatch.setattr(cs.ProductStructure, "support_masks", counted_query)
+    monkeypatch.setattr(Structure, "support_masks", counted_query)
     monkeypatch.setattr(solvers, "_run_arcs", counted_arcs)
     rng = random.Random(5)
     total = 0
