@@ -57,6 +57,7 @@ def dense_order_sampling(
     signature = Signature([(n_, a) for n_, a, _ in parsed])
 
     def builder(n: int) -> Sequence[Structure]:
+        _check_elements(n, f"the {name} sample at n={n}")
         relations = {
             rel: qf.define_by_type(defn, *qf.order_types(n, arity))
             for rel, arity, defn in parsed
@@ -210,6 +211,7 @@ def successor_sampling(name: str = "successor") -> SampleFamily:
     signature = Signature([(SUCC, 2)])
 
     def builder(n: int) -> Sequence[Structure]:
+        _check_elements(n * (n + 1), f"the {name} sample at n={n}")
         path = Structure(
             signature,
             n + 1,
@@ -258,10 +260,11 @@ def alternating_cycles_sampling(name: str = "alternating-cycles") -> SampleFamil
     signature = Signature([(E1, 2), (E2, 2)])
 
     def builder(n: int) -> Sequence[Structure]:
+        copies = {k: -(-n // (2 * k)) for k in range(1, (n + 1) // 2 + 1)}
+        _check_elements(sum(2 * k * c for k, c in copies.items()), f"the {name} sample at n={n}")
         parts = []
-        for k in range(1, (n + 1) // 2 + 1):
-            cycle = _alternating_cycle(k)
-            parts.extend([cycle] * (-(-n // (2 * k))))
+        for k, c in copies.items():
+            parts.extend([_alternating_cycle(k)] * c)
         return [disjoint_union(parts)]
 
     def decider(inst: Instance) -> bool:
@@ -388,6 +391,12 @@ def marked_colors_sampling(name: str = "marked-colors") -> SampleFamily:
     signature = Signature([(MARK, 1), (RED, 1), (BLUE, 1), (DIFF, 2)])
 
     def builder(n: int) -> Sequence[Structure]:
+        _check_elements(2 * n, f"a {name} sample at n={n}")
+        if 4 * n * n - 2 * n > qf._MAX_CANDIDATES:
+            raise SamplingError(
+                f"a {name} sample at n={n} would list {4 * n * n - 2 * n:,} {DIFF} tuples, "
+                f"over the listing budget of {qf._MAX_CANDIDATES:,}"
+            )
         diff = {(i, j) for i in range(2 * n) for j in range(2 * n) if i != j}
         common = {
             RED: {(i,) for i in range(n)},

@@ -6,21 +6,20 @@ output uses sorted lexicographic tuple order so results are deterministic.
 All values are immutable after construction and safe to share across
 concurrent solver runs.
 
-Solvers make four queries of a relation: ``projection_mask`` and
-``diagonal_mask``, read from one cached index per relation; ``arc``, the
-two-variable arc query of one shape and direction, whose object answers
-``revise`` (narrow the affected mask against the watched one) and
-``partners`` (the affected values paired with one watched value); and
-``support_masks``, which revises an atom with three or more distinct
-variables a whole mask at a time (the values each variable takes in the
-tuples within the given masks). Two kinds of relation answer them. A
-listed one is a frozenset of tuples, indexed in one pass over them, with
-``TableArc`` arcs. A ``RuleRelation``, such as a product sample's, keeps
-the rule that defines it and answers the index, ``support_masks`` and its
-arc class itself, building a tuple only when a caller iterates it.
-``Structure`` caches both kinds' answers and builds their arcs in one
-``_build_arc``; ``shaped_masks``, both directions' partner masks of a
-shape, is a view read off the two arcs.
+Solvers make four queries of a relation, and every relation answers them
+itself as a ``RuleRelation``: ``index()``, its projection and diagonal
+masks; ``arc(watched, affected)``, the two-variable arc of one shape and
+direction, whose object answers ``revise`` (narrow the affected mask
+against the watched one) and ``partners`` (the affected values paired with
+one watched value); and ``support_masks``, which revises an atom with three
+or more distinct variables a whole mask at a time (the values each
+variable takes in the tuples within the given masks). A ``ListedRelation``
+is a frozenset of tuples, indexed by one ``scan_index``, with ``TableArc``
+arcs. Other rule relations, such as a product sample's, keep the rule that
+defines them and list a tuple only when a caller iterates them.
+``Structure`` holds relations and labels and passes each query on by name;
+``shaped_masks``, both directions' partner masks of a shape, is a view
+read off the two arcs.
 """
 
 from __future__ import annotations
@@ -52,10 +51,7 @@ class TableArc:
 
     __slots__ = ("_partners", "_supports", "_keys", "_by_size", "_domain_size")
 
-    def __init__(
-        self, structure: Structure, name: str,
-        to_affected: dict[int, int], to_watched: dict[int, int], diagonal: int,
-    ):
+    def __init__(self, domain_size: int, to_affected: dict, to_watched: dict, diagonal: int):
         partners, supports = dict(to_affected), dict(to_watched)
         for v in mask_bits(diagonal):
             partners[v] = partners.get(v, 0) | 1 << v
@@ -63,7 +59,7 @@ class TableArc:
         self._partners, self._supports = partners, supports
         self._keys = sum(1 << v for v in supports)
         self._by_size = tuple(sorted((m.bit_count(), v) for v, m in supports.items()))
-        self._domain_size = structure.domain_size
+        self._domain_size = domain_size
 
     def partners(self, value: int) -> int:
         return self._partners.get(value, 0)
@@ -83,22 +79,132 @@ class TableArc:
 
 
 class RuleRelation(Set):
-    """A relation kept as the rule that defines it, answering the solver
-    queries itself. ``in``, ``len`` and iteration are its membership test,
-    count and listing; ``Structure._build_arc`` builds its ``arc_class``
-    over the index's partner dicts."""
+    """A relation that answers the solver queries itself. ``in``, ``len``
+    and iteration are its membership test, count and listing. A
+    ``ListedRelation`` holds its tuples; any other kind keeps the rule that
+    defines them and lists a tuple only when a caller iterates it."""
 
     arity: int
     domain_size: int
-    arc_class: type
 
     @abstractmethod
-    def index(self) -> tuple[tuple[int, ...], int, dict]:
-        """The projections, diagonal and partner dicts of ``Structure._index``."""
+    def index(self) -> tuple[tuple[int, ...], int]:
+        """The mask of the values at each position, and the mask of the
+        values v with the constant tuple (v, ..., v)."""
+
+    @abstractmethod
+    def arc(self, watched: tuple[int, ...], affected: tuple[int, ...]):
+        """Arc revision of a two-variable atom, from the variable on the
+        watched positions to the one on the affected positions: an object
+        with ``revise`` and ``partners``. Raises ValueError unless the two
+        groups partition the positions."""
 
     @abstractmethod
     def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
         """``Structure.support_masks`` of this relation."""
+
+    def tuples_by_value(self, position: int) -> dict[int, tuple]:
+        """The tuples grouped by the value at one position, listed once per
+        position and kept."""
+        buckets = self._buckets.get(position)
+        if buckets is None:
+            grouped: dict[int, list] = {}
+            for t in self:
+                grouped.setdefault(t[position], []).append(t)
+            buckets = self._buckets[position] = {v: tuple(ts) for v, ts in grouped.items()}
+        return buckets
+
+    @functools.cached_property
+    def _buckets(self) -> dict[int, dict[int, tuple]]:
+        return {}
+
+
+class ListedRelation(frozenset, RuleRelation):
+    """A relation given by its tuples, as a frozenset of them. Its index
+    is their ``scan_index``, built on first use, and its arcs are
+    ``TableArc``s over that index's partner masks. ``Structure`` checks
+    the tuples before it makes one."""
+
+    def __new__(cls, tuples: Iterable[tuple[int, ...]], arity: int, domain_size: int):
+        self = super().__new__(cls, map(tuple, tuples))
+        self.arity, self.domain_size = arity, domain_size
+        return self
+
+    def __reduce__(self):
+        return type(self), (tuple(self), self.arity, self.domain_size)
+
+    @functools.cached_property
+    def scan(self) -> tuple[tuple[int, ...], int, dict]:
+        return scan_index(self, self.arity)
+
+    def index(self) -> tuple[tuple[int, ...], int]:
+        return self.scan[:2]
+
+    def arc(self, watched: tuple[int, ...], affected: tuple[int, ...]) -> TableArc:
+        return TableArc(self.domain_size, *arc_partners(self.scan, self.arity, watched, affected))
+
+    def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
+        """A scan of the tuples that ``live_tuples`` names."""
+        distinct, firsts, repeats = atom_layout(args)
+        given = [masks.get(x) for x in distinct]
+        live = [None if m is None else list(mask_bits(m)) for m in given]
+        checks = [(p, m) for p, m in zip(firsts, given) if m is not None]
+        found = [0] * len(distinct)
+        for t in live_tuples(self, firsts, live):
+            for i, j in repeats:
+                if t[i] != t[j]:
+                    break
+            else:
+                for p, m in checks:
+                    if not m >> t[p] & 1:
+                        break
+                else:
+                    for k, p in enumerate(firsts):
+                        found[k] |= 1 << t[p]
+        return dict(zip(distinct, found))
+
+
+def scan_index(tuples: Iterable[tuple[int, ...]], arity: int) -> tuple[tuple[int, ...], int, dict]:
+    """Projection masks, diagonal mask and two-valued partner masks of
+    listed tuples, which must be iterable more than once.
+
+    A tuple with exactly two distinct values is constant on exactly one
+    pair of position groups, its equality pattern; its partner masks are
+    filed under that pattern, forward from the group holding position 0.
+    Constant tuples fit every shape and are kept only in the diagonal.
+    """
+    columns = ({t[p] for t in tuples} for p in range(arity))
+    projections = tuple(sum(1 << v for v in c) for c in columns)
+    diagonal = 0
+    partners: dict[tuple[bool, ...], tuple[dict[int, int], dict[int, int]]] = {}
+    for t in tuples:
+        values = set(t)
+        if len(values) == 1:
+            diagonal |= 1 << t[0]
+        elif len(values) == 2:
+            a = t[0]
+            pattern = tuple(map(a.__eq__, t))
+            b = t[pattern.index(False)]
+            forward, backward = partners.setdefault(pattern, ({}, {}))
+            forward[a] = forward.get(a, 0) | 1 << b
+            backward[b] = backward.get(b, 0) | 1 << a
+    return projections, diagonal, partners
+
+
+def arc_partners(
+    scan: tuple, arity: int, watched: tuple[int, ...], affected: tuple[int, ...]
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """What an arc is built from, read off a ``scan_index``: the shape's
+    partner dicts turned to run from the watched to the affected positions
+    (each watched value to its affected partners, and back) and the
+    diagonal. Raises ValueError unless the groups partition the positions."""
+    _, diagonal, shapes = scan
+    forward = 0 in watched
+    pattern = tuple(p in (watched if forward else affected) for p in range(arity))
+    if all(pattern) or sorted(watched + affected) != list(range(arity)):
+        raise ValueError(f"{watched} and {affected} do not partition {arity} positions")
+    to_affected, to_watched = shapes.get(pattern, ({}, {}))
+    return (to_affected, to_watched, diagonal) if forward else (to_watched, to_affected, diagonal)
 
 
 @dataclass(frozen=True)
@@ -151,15 +257,16 @@ class Signature:
 class Structure:
     """A finite relational structure: dense integer domain plus relations.
 
-    ``relations`` always has an entry (possibly empty) for every signature
-    symbol; every tuple has the symbol's arity and entries < domain_size.
-    A ``RuleRelation`` is kept as given, once its arity and domain size are
-    checked; any other relation is frozen into a set of tuples.
+    ``relations`` has a ``RuleRelation`` of the symbol's arity on the
+    domain for every signature symbol. One of that shape is kept as given;
+    any other input is listed as a ``ListedRelation`` of checked tuples,
+    except a rule relation that is not listed, which raises ValueError.
+    The solvers keep their plans in ``_indexes``.
     """
 
     signature: Signature
     domain_size: int
-    relations: Mapping[str, Set[tuple[int, ...]]]
+    relations: Mapping[str, RuleRelation]
     labels: tuple[str, ...] | None = field(default=None)
 
     def __init__(
@@ -175,22 +282,22 @@ class Structure:
         for name in relations:
             if name not in signature:
                 raise SignatureError(f"relation {name!r} not in signature")
-        frozen: dict[str, Set[tuple[int, ...]]] = {}
+        frozen: dict[str, RuleRelation] = {}
         for name, arity in signature:
             rel = relations.get(name, ())
             if isinstance(rel, RuleRelation):
-                if (rel.arity, rel.domain_size) != (arity, domain_size):
+                if (rel.arity, rel.domain_size) == (arity, domain_size):
+                    frozen[name] = rel
+                    continue
+                if not isinstance(rel, ListedRelation):
                     raise ValueError(f"rule relation {name} is not {arity}-ary on {domain_size}")
-                frozen[name] = rel
-                continue
-            tuples = frozenset(tuple(t) for t in rel)
+            tuples = frozen[name] = ListedRelation(rel, arity, domain_size)
             for t in tuples:
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong length for {name}/{arity}")
                 for e in t:
                     if not (0 <= e < domain_size):
                         raise ValueError(f"element {e} out of range in {name}{t}")
-            frozen[name] = tuples
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != domain_size:
@@ -199,7 +306,7 @@ class Structure:
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "relations", frozen)
         object.__setattr__(self, "labels", labels)
-        # lazily filled caches used by the solvers; not part of the value
+        # the solvers' plans, filled lazily; not part of the value
         object.__setattr__(self, "_indexes", {})
 
     def __eq__(self, other: object) -> bool:
@@ -224,7 +331,7 @@ class Structure:
             return self.labels[element]
         return str(element)
 
-    # --- solver-facing queries and caches --------------------------------
+    # --- solver-facing queries, answered by the relations -----------------
 
     def support_masks(
         self, name: str, args: tuple[str, ...], masks: Mapping[str, int]
@@ -235,136 +342,29 @@ class Structure:
         one value across its positions, and that value lies in the
         variable's mask if ``masks`` has one; a variable without a mask is
         unrestricted. Returns one mask per distinct variable, all empty when
-        no tuple supports the atom. The scan starts where ``live_tuples``
-        says, a value of a mask being live: it reads the buckets of the
-        smallest mask's values (one bucket for a singleton, none for an
-        empty mask), or every tuple when no variable has a mask. A rule
-        relation answers for itself.
-        """
-        rel = self.relations[name]
-        if isinstance(rel, RuleRelation):
-            return rel.support_masks(args, masks)
-        distinct, firsts, repeats = atom_layout(args)
-        given = [masks.get(x) for x in distinct]
-        live = [None if m is None else list(mask_bits(m)) for m in given]
-        checks = [(p, m) for p, m in zip(firsts, given) if m is not None]
-        found = [0] * len(distinct)
-        for t in live_tuples(self, name, firsts, live):
-            for i, j in repeats:
-                if t[i] != t[j]:
-                    break
-            else:
-                for p, m in checks:
-                    if not m >> t[p] & 1:
-                        break
-                else:
-                    for k, p in enumerate(firsts):
-                        found[k] |= 1 << t[p]
-        return dict(zip(distinct, found))
-
-    def tuples_by_value(self, name: str, position: int) -> dict[int, tuple]:
-        """Tuples of a relation grouped by the value at one position."""
-        key = ("bucket", name, position)
-        cached = self._indexes.get(key)
-        if cached is None:
-            grouped: dict[int, list] = {}
-            for t in self.relations[name]:
-                grouped.setdefault(t[position], []).append(t)
-            cached = {v: tuple(ts) for v, ts in grouped.items()}
-            self._indexes[key] = cached
-        return cached
-
-    def _index(self, name: str) -> tuple[tuple[int, ...], int, dict]:
-        """Projection masks, diagonal mask and two-valued partner masks.
-
-        A tuple with exactly two distinct values is constant on exactly one
-        pair of position groups, its equality pattern; its partner masks are
-        filed under that pattern, forward from the group holding position 0.
-        Constant tuples fit every shape and are kept only in the diagonal.
-        A rule relation answers with its own ``index``.
-        """
-        key = ("index", name)
-        cached = self._indexes.get(key)
-        if cached is None:
-            tuples = self.relations[name]
-            if isinstance(tuples, RuleRelation):
-                self._indexes[key] = tuples.index()
-                return self._indexes[key]
-            columns = ({t[p] for t in tuples} for p in range(self.signature.arity(name)))
-            projections = tuple(sum(1 << v for v in c) for c in columns)
-            diagonal = 0
-            partners: dict[tuple[bool, ...], tuple[dict[int, int], dict[int, int]]] = {}
-            for t in tuples:
-                values = set(t)
-                if len(values) == 1:
-                    diagonal |= 1 << t[0]
-                elif len(values) == 2:
-                    a = t[0]
-                    pattern = tuple(map(a.__eq__, t))
-                    b = t[pattern.index(False)]
-                    forward, backward = partners.setdefault(pattern, ({}, {}))
-                    forward[a] = forward.get(a, 0) | 1 << b
-                    backward[b] = backward.get(b, 0) | 1 << a
-            cached = (projections, diagonal, partners)
-            self._indexes[key] = cached
-        return cached
+        no tuple supports the atom."""
+        return self.relations[name].support_masks(args, masks)
 
     def projection_mask(self, name: str, position: int) -> int:
         """Bitmask of the values occurring at one position of a relation."""
-        return self._index(name)[0][position]
+        return self.relations[name].index()[0][position]
 
     def diagonal_mask(self, name: str) -> int:
         """Bitmask of the values v with the constant tuple (v, ..., v)."""
-        return self._index(name)[1]
+        return self.relations[name].index()[1]
 
     def shaped_masks(
         self, name: str, first_positions: tuple[int, ...], second_positions: tuple[int, ...]
     ) -> tuple[dict[int, int], dict[int, int]]:
         """Partner masks of a two-group shape in both directions: each
         first-group value to the mask of its second-group partners, and back.
-        Read off the shape's two arcs one value at a time, on each call; the
-        groups must partition the relation's positions."""
+        Read off the relation's two arcs of the shape one value at a time,
+        on each call; the groups must partition the relation's positions."""
+        rel, pair = self.relations[name], (first_positions, second_positions)
         return tuple(
             {v: m for v in range(self.domain_size) if (m := arc.partners(v))}
-            for arc in (
-                self.arc(name, first_positions, second_positions),
-                self.arc(name, second_positions, first_positions),
-            )
+            for arc in (rel.arc(*pair), rel.arc(*pair[::-1]))
         )
-
-    def arc(
-        self,
-        name: str,
-        watched_positions: tuple[int, ...],
-        affected_positions: tuple[int, ...],
-    ):
-        """Arc revision of a two-variable atom, from the variable on the
-        watched positions to the one on the affected positions; an object
-        with ``revise`` and ``partners``, built once per shape and direction."""
-        key = ("arc", name, watched_positions, affected_positions)
-        cached = self._indexes.get(key)
-        if cached is None:
-            cached = self._indexes[key] = self._build_arc(
-                name, watched_positions, affected_positions
-            )
-        return cached
-
-    def _build_arc(self, name: str, watched: tuple[int, ...], affected: tuple[int, ...]):
-        """The relation's arc class over the shape's partner dicts from the
-        index, turned to run from the watched to the affected positions: a
-        rule relation's ``arc_class``, else ``TableArc``. Raises unless the
-        two groups partition the relation's positions."""
-        arity = self.signature.arity(name)
-        pattern = tuple(p in (watched if 0 in watched else affected) for p in range(arity))
-        if all(pattern) or sorted(watched + affected) != list(range(arity)):
-            raise ValueError(f"{watched} and {affected} do not partition {name}")
-        _, diagonal, shapes = self._index(name)
-        to_affected, to_watched = shapes.get(pattern, ({}, {}))
-        if 0 not in watched:
-            to_affected, to_watched = to_watched, to_affected
-        rel = self.relations[name]
-        arc_class = rel.arc_class if isinstance(rel, RuleRelation) else TableArc
-        return arc_class(self, name, to_affected, to_watched, diagonal)
 
 
 def mask_bits(mask: int) -> Iterator[int]:
@@ -388,7 +388,7 @@ def atom_layout(
 
 
 def live_tuples(
-    structure: Structure, name: str, firsts: Sequence[int], live: Sequence[Sequence[int] | None]
+    relation: RuleRelation, firsts: Sequence[int], live: Sequence[Sequence[int] | None]
 ) -> Iterable[tuple[int, ...]]:
     """Where a support scan starts: the ``tuples_by_value`` buckets of the
     live values at the position whose variable has the fewest of them, or
@@ -400,9 +400,9 @@ def live_tuples(
         if values is not None and (start is None or len(values) < len(start[1])):
             start = p, values
     if start is None:
-        return itertools.chain.from_iterable(structure.tuples_by_value(name, 0).values())
+        return itertools.chain.from_iterable(relation.tuples_by_value(0).values())
     position, values = start
-    buckets = structure.tuples_by_value(name, position)
+    buckets = relation.tuples_by_value(position)
     return itertools.chain.from_iterable(buckets.get(v, ()) for v in values)
 
 

@@ -15,14 +15,15 @@ Samples inside one generate(n) result are kept as separate structures;
 collapsing them into one disjoint union can destroy equality matching.
 
 A product sample's relations are rule relations (``_ProductRelation``):
-each stays the test on its factors that defines it and answers the solver
-queries from the owning factor's index and tuples, so a product level costs
-its factor tuples plus O(|D_own|) big-integer masks per relation shape, not
-its |D|^k tuples, and an expansion of it lists only the relations it adds.
+each stays the test on its owning factor's relation that defines it and
+answers the solver queries from that relation's index and tuples, so a
+level costs its factor tuples plus O(|D_own|) big-integer masks per shape,
+not its |D|^k tuples, and an expansion of it lists only what it adds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,7 +32,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import qf
 from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
-from .model import RuleRelation, Signature, Structure, atom_layout, live_tuples, mask_bits
+from .model import ListedRelation, RuleRelation, Signature, Structure, arc_partners
+from .model import atom_layout, live_tuples, mask_bits, scan_index
 
 Decider = Callable[[Instance], bool]
 
@@ -270,17 +272,15 @@ def _product_count(tuples: Iterable[tuple[int, ...]], other_size: int) -> int:
     return sum(math.perm(other_size, len(set(t))) for t in tuples)
 
 
-def _factor_index(factor: Structure, name: str, other_size: int) -> tuple:
-    """The owning factor's ``Structure._index`` of a relation, over the factor
-    tuples that give product tuples: those with at most ``other_size``
-    distinct values. A rule relation is read through its tuples, since a
-    product relation's own index is keyed by coordinate."""
-    arity = factor.signature.arity(name)
-    if other_size >= arity and not isinstance(factor.relations[name], RuleRelation):
-        return factor._index(name)
-    kept = [t for t in factor.relations[name] if len(set(t)) <= other_size]
-    view = Structure(Signature([(name, arity)]), factor.domain_size, {name: kept})
-    return view._index(name)
+def _factor_index(factor: RuleRelation, other_size: int) -> tuple:
+    """The ``scan_index`` of a factor relation over the tuples that give
+    product tuples: those with at most ``other_size`` distinct values. A
+    listed relation that keeps every tuple answers with its own; any other
+    is read through its tuples, since a product relation's own index is
+    keyed by coordinate."""
+    if other_size >= factor.arity and isinstance(factor, ListedRelation):
+        return factor.scan
+    return scan_index([t for t in factor if len(set(t)) <= other_size], factor.arity)
 
 
 def _index_bits(b1: Structure, b2: Structure) -> int:
@@ -293,7 +293,7 @@ def _index_bits(b1: Structure, b2: Structure) -> int:
     masks = 0
     for own, other in ((b1, b2), (b2, b1)):
         for name, arity in own.signature:
-            partners = _factor_index(own, name, other.domain_size)[2]
+            partners = _factor_index(own.relations[name], other.domain_size)[2]
             masks += arity + 1 + 2 * sum(len(f) + len(b) for f, b in partners.values())
     return masks * b1.domain_size * b2.domain_size
 
@@ -316,11 +316,7 @@ class _ProductArc:
 
     __slots__ = ("_to_affected", "_rows", "_diagonal", "_own_scale", "_own_size", "_column")
 
-    def __init__(
-        self, structure: Structure, name: str,
-        to_affected: dict[int, int], to_watched: dict[int, int], diagonal: int,
-    ):
-        rel = structure.relations[name]
+    def __init__(self, rel: _ProductRelation, to_affected: dict, to_watched: dict, diagonal: int):
         self._to_affected = to_affected
         self._rows = tuple(
             (rel.row << o * rel.own_scale, lifted) for o, lifted in to_watched.items()
@@ -366,14 +362,9 @@ class _ProductRelation(RuleRelation):
     partner masks, and ``support_masks`` scans the factor's tuples.
     """
 
-    arc_class = _ProductArc
-
-    def __init__(
-        self, factor: Structure, name: str, own_scale: int, other_scale: int, other_size: int
-    ):
+    def __init__(self, factor: RuleRelation, own_scale: int, other_scale: int, other_size: int):
         self.factor = factor
-        self.name = name
-        self.arity = factor.signature.arity(name)
+        self.arity = factor.arity
         self.own_scale = own_scale
         self.other_scale = other_scale
         self.own_size = factor.domain_size
@@ -382,7 +373,7 @@ class _ProductRelation(RuleRelation):
         # the elements with own coordinate 0, and those with other coordinate 0
         self.row = sum(1 << y * other_scale for y in range(other_size))
         self.column = sum(1 << o * own_scale for o in range(factor.domain_size))
-        self._decode = (own_scale, self.own_size, self.domain_size, factor.relations[name])
+        self._decode = (own_scale, self.own_size, self.domain_size, factor)
         self._len: Optional[int] = None
 
     def __contains__(self, t: object) -> bool:
@@ -405,13 +396,13 @@ class _ProductRelation(RuleRelation):
 
     def __len__(self) -> int:
         if self._len is None:
-            self._len = _product_count(self.factor.relations[self.name], self.other_size)
+            self._len = _product_count(self.factor, self.other_size)
         return self._len
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         positions = range(self.arity)
         perms_cache: dict[int, list[tuple[int, ...]]] = {}
-        for t in self.factor.relations[self.name]:
+        for t in self.factor:
             block_of: dict[int, int] = {}
             pattern = [block_of.setdefault(o, len(block_of)) for o in t]
             perms = perms_cache.get(len(block_of))
@@ -424,8 +415,9 @@ class _ProductRelation(RuleRelation):
                     bases[i] + assign[pattern[i]] * self.other_scale for i in positions
                 )
 
-    def index(self) -> tuple[tuple[int, ...], int, dict]:
-        """``Structure._index`` lifted from the owning factor's index.
+    @functools.cached_property
+    def scan(self) -> tuple[tuple[int, ...], int, dict]:
+        """The factor's ``scan_index`` lifted to the product, built on first use.
 
         Only factor tuples with at most ``other_size`` distinct values give
         product tuples. Projections and the diagonal are the factor's,
@@ -433,12 +425,18 @@ class _ProductRelation(RuleRelation):
         one lifted factor partner mask per own value with partners: the
         O(|D_own|) masks that ``_ProductArc`` answers from.
         """
-        projections, diagonal, partners = _factor_index(self.factor, self.name, self.other_size)
+        projections, diagonal, partners = _factor_index(self.factor, self.other_size)
         shapes = {
             pattern: tuple({o: self.lift(m) for o, m in side.items()} for side in sides)
             for pattern, sides in partners.items()
         }
         return tuple(map(self.lift, projections)), self.lift(diagonal), shapes
+
+    def index(self) -> tuple[tuple[int, ...], int]:
+        return self.scan[:2]
+
+    def arc(self, watched: tuple[int, ...], affected: tuple[int, ...]) -> _ProductArc:
+        return _ProductArc(self, *arc_partners(self.scan, self.arity, watched, affected))
 
     def lift(self, mask: int) -> int:
         """The product elements whose own coordinate is in a factor mask."""
@@ -482,7 +480,7 @@ class _ProductRelation(RuleRelation):
         free = [p for p, r in zip(firsts, rows) if r is None]
         row = self.row
         found: list[dict[int, int]] = [{} for _ in distinct]
-        for t in live_tuples(self.factor, self.name, firsts, rows):
+        for t in live_tuples(self.factor, firsts, rows):
             for i, j in repeats:
                 if t[i] != t[j]:
                     break
@@ -556,9 +554,9 @@ def _product_structure(
             f"({b1.label(a)},{b2.label(b)})" for a in range(size1) for b in range(size2)
         )
     relations = {
-        name: _ProductRelation(b1, name, size2, 1, size2)
+        name: _ProductRelation(b1.relations[name], size2, 1, size2)
         if name in first_names
-        else _ProductRelation(b2, name, 1, size2, size1)
+        else _ProductRelation(b2.relations[name], 1, size2, size1)
         for name, _ in signature
     }
     return Structure(signature, size1 * size2, relations, labels)

@@ -12,8 +12,8 @@ the target is bit 1 << k). One pass over the atoms compiles them: each
 atom reads its target's plan for its symbol and equality shape, built once
 per structure. Seeding narrows each variable's candidates to the
 per-position projections of its atoms, or to the diagonal for atoms on
-one variable. Atoms with two distinct variables become a pair of arcs, each
-revised by the target's ``arc`` query; wider atoms are revised a whole mask
+one variable. Atoms with two distinct variables become a pair of arcs from
+their relation's ``arc`` query; wider atoms are revised a whole mask
 at a time by the target's ``support_masks`` query, up to the generalized
 arc-consistency (GAC) fixpoint. That fixpoint is the one root of all three
 procedures: ``arc_consistency`` is the root alone, ``hom_search`` searches from it,
@@ -114,7 +114,7 @@ def _plan(target: Structure, symbol: str, shape: tuple[int, ...]) -> tuple:
     ]
     pair = None
     if len(firsts) == 2:
-        pair = (target.arc(symbol, *groups), target.arc(symbol, *groups[::-1]))
+        pair = tuple(target.relations[symbol].arc(*g) for g in (groups, groups[::-1]))
     plan = target._indexes["plan", symbol, shape] = (firsts, seeds, pair)
     return plan
 
@@ -126,7 +126,7 @@ def _compile(
     feeds, and the wide atoms on each variable, in one pass over the atoms.
 
     An atom with two distinct variables becomes one arc per direction,
-    (affected, watched, the target's ``arc`` query for that shape and
+    (affected, watched, the relation's ``arc`` for that shape and
     direction). Atoms with one distinct variable are exhausted by seeding;
     wider atoms are listed under each variable as (atom, its distinct
     variables).
@@ -175,7 +175,7 @@ def _run_arcs(
     A singleton watched domain supports exactly the assigned value's
     partner mask, so that case is one ``partners`` query and one AND; this
     is what makes assignments enforce these atoms exactly. A wide watched
-    domain is the arc's ``revise`` query, which the target answers: by a
+    domain is the arc's ``revise`` query, which the relation answers: by a
     pigeonhole-bounded recheck over listed partner masks, or factor by
     factor on a product sample. Wide revision runs in fixpoints; during
     search the singleton case carries the pruning.
@@ -289,11 +289,8 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
     def propagate(var: str, value: int, trail: list) -> bool:
         touched = []
         bit = 1 << value
-        for other in neq_neighbors[var]:
-            if other in assignment:
-                if assignment[other] == value:
-                    return False
-            elif cand[other] & bit:
+        for other in neq_neighbors[var]:  # an assigned one empties on a clash
+            if cand[other] & bit:
                 trail.append((other, cand[other]))
                 cand[other] &= ~bit
                 if not cand[other]:
@@ -377,7 +374,8 @@ def hom_search(inst: Instance, target: Structure) -> SolveResult:
 def check_witness(
     inst: Instance, target: Structure, assignment: Mapping[str, int]
 ) -> bool:
-    """Verify a claimed satisfying assignment directly against the atoms."""
+    """Verify a claimed satisfying assignment directly against the atoms;
+    an atom on a symbol the target lacks holds for no tuple."""
     for v in inst.variables:
         if v not in assignment:
             return False
@@ -386,7 +384,7 @@ def check_witness(
             return False
         if isinstance(atom, Rel):
             t = tuple(assignment[x] for x in atom.args)
-            if t not in target.relations[atom.symbol]:
+            if t not in target.relations.get(atom.symbol, ()):
                 return False
         elif isinstance(atom, Eq):
             if assignment[atom.left] != assignment[atom.right]:

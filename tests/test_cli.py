@@ -304,3 +304,22 @@ def test_checkpoly_builtin_operation_budget_exits_2(tmp_path):
     big.write_text("structure s over E/2\ndomain 200\nrel E: (0,1)\n")
     proc = run_capped("checkpoly", "--structure", str(big), "--op", "majority_eq")
     assert proc.returncode == 2 and "budget" in proc.stderr
+
+
+def test_sample_past_a_builders_budget_exits_2(tmp_path):
+    theory = tmp_path / "builtins.theory"
+    theory.write_text(
+        'theory D = dense_order { rel u/1 = "x1 = x1"; }\n'
+        "theory S = successor\n"
+        "theory A = alternating_cycles\n"
+        "theory M = marked_colors\n"
+    )
+    for name, n, budget in (
+        ("D", 1_000_001, "element budget"),
+        ("S", 1000, "element budget"),
+        ("A", 1500, "element budget"),
+        ("M", 1001, "listing budget"),
+    ):
+        proc = run_capped("sample", "--theory", str(theory), "--name", name, "-n", str(n))
+        assert proc.returncode == 2, name
+        assert budget in proc.stderr and proc.stdout == "", name

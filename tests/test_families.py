@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -226,3 +227,33 @@ def test_partition_and_succ2col_samples_have_an_element_budget():
         cs.colored_partition_sampling(2).generate(500_001)
     with pytest.raises(cs.SamplingError, match="1,048,576 elements.*budget"):
         cs.succ2col_sampling().generate(20)
+
+
+def _alternating_elements(n):
+    """Elements of alternating-cycles level n: ceil(n / 2k) copies of the
+    2k-cycle for each k up to ceil(n / 2)."""
+    return sum(2 * k * -(-n // (2 * k)) for k in range(1, (n + 1) // 2 + 1))
+
+
+def test_builders_refuse_levels_just_past_their_budgets():
+    first_over = next(n for n in itertools.count(1200) if _alternating_elements(n) > 1_000_000)
+    assert _alternating_elements(first_over - 1) <= 1_000_000
+    cases = [
+        # (family, first level over budget, its count, the budget named)
+        # a unary relation lists one tuple per element, inside its own budget
+        (cs.dense_order_sampling([("u", 1, "x1 = x1")]), 1_000_001, "1,000,001 elements",
+         "element budget"),
+        (cs.successor_sampling(), 1000, "1,001,000 elements", "element budget"),
+        (cs.alternating_cycles_sampling(), first_over,
+         f"{_alternating_elements(first_over):,} elements", "element budget"),
+        # (2n)^2 - 2n diff tuples: 3,998,000 at n = 1000
+        (cs.marked_colors_sampling(), 1001, "4,006,002 diff tuples",
+         "listing budget of 4,000,000"),
+    ]
+    assert 999 * 1000 <= 1_000_000 and 2000**2 - 2000 <= 4_000_000  # one level below is inside
+    for family, n, count, budget in cases:
+        start = time.perf_counter()
+        with pytest.raises(cs.SamplingError, match=budget) as err:
+            family.generate(n)
+        assert time.perf_counter() - start < 1, family.name
+        assert count in str(err.value), family.name

@@ -181,7 +181,7 @@ def test_indexes_are_consistent_with_relations():
     )
     assert s.projection_mask("R", 0) == 0b111
     assert s.diagonal_mask("R") == 1 << 2
-    assert set(s.tuples_by_value("R", 1)[1]) == {(0, 1, 2), (1, 1, 2)}
+    assert set(s.relations["R"].tuples_by_value(1)[1]) == {(0, 1, 2), (1, 1, 2)}
     forward, backward = s.shaped_masks("R", (0, 1), (2,))
     assert forward == {1: 1 << 2, 2: 1 << 2}
     assert backward == {2: 1 << 1 | 1 << 2}
@@ -250,7 +250,7 @@ def test_indexes_match_a_brute_force_scan():
                 (first, second, forward, backward),
                 (second, first, backward, forward),
             ):
-                arc = s.arc("R", watched, affected)
+                arc = s.relations["R"].arc(watched, affected)
                 for v in range(domain):
                     assert bits(arc.partners(v)) == to_affected.get(v, set())
                 for dom_a, dom_w in _mask_pairs(mask_rng, domain):

@@ -652,3 +652,8 @@ def test_ac_states_list_their_domains_and_compare_by_them():
     for first, second in zip(states, states[1:] + states[:1]):
         assert (first == second) == (first.domains == second.domains)
     assert all(state == cs.ACState(dict(state.masks)) for state in states)
+
+
+def test_check_witness_refuses_an_atom_on_a_symbol_the_target_lacks():
+    inst = Instance.of(Signature([("F", 2)]), [Rel("F", ("x", "y"))])
+    assert cs.check_witness(inst, TWO_COLORING, {"x": 0, "y": 1}) is False
