@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from . import qf
 from .combinatorics import de_bruijn_binary, iter_identifications, union_find
 from .formulas import Instance, Neq, Rel, contract_equalities
-from .model import Signature, Structure, disjoint_union
+from .model import ListedRelation, Signature, Structure, disjoint_union
 from .sampling import SampleFamily, SamplingError, _check_elements
 
 ExpansionDef = tuple[str, int, "qf.QFDef | str"]
@@ -397,7 +397,10 @@ def marked_colors_sampling(name: str = "marked-colors") -> SampleFamily:
                 f"a {name} sample at n={n} would list {4 * n * n - 2 * n:,} {DIFF} tuples, "
                 f"over the listing budget of {qf._MAX_CANDIDATES:,}"
             )
-        diff = {(i, j) for i in range(2 * n) for j in range(2 * n) if i != j}
+        # Structure keeps a ListedRelation of its shape as given: both samples share it
+        diff = ListedRelation(
+            ((i, j) for i in range(2 * n) for j in range(2 * n) if i != j), 2, 2 * n
+        )
         common = {
             RED: {(i,) for i in range(n)},
             BLUE: {(i,) for i in range(n, 2 * n)},

@@ -22,6 +22,9 @@ Theory specs name sample families and combine them:
 Builders: dense_order{...}, partition(m){...}, successor,
 alternating_cycles, succ2col, marked_colors, explicit{...},
 from_decider(name, max_n), union(a, b), expand(a){...}.
+
+A spec is read with ``qf.TokenStream``, the lexer that also reads the
+quoted definitions; its errors carry a line and column.
 """
 
 from __future__ import annotations
@@ -260,28 +263,40 @@ def print_instance(inst: Instance) -> str:
 # --- operation tables -----------------------------------------------------------
 
 
-def print_operation_table(f: OperationTable, per_line: int = 16) -> str:
+_VALUES_PER_LINE = 16
+
+
+def print_operation_table(f: OperationTable) -> str:
     values = [
         str(f.table[args])
         for args in sorted(f.table)
     ]
     lines = [f"optable domain {f.domain_size} arity {f.arity}"]
-    for i in range(0, len(values), per_line):
-        lines.append(" ".join(values[i : i + per_line]))
+    for i in range(0, len(values), _VALUES_PER_LINE):
+        lines.append(" ".join(values[i : i + _VALUES_PER_LINE]))
     return "\n".join(lines) + "\n"
 
 
 def parse_operation_table(text: str) -> OperationTable:
-    lines = [l for l in (_strip_comment(x).strip() for x in text.splitlines()) if l]
+    stripped = (_strip_comment(raw).strip() for raw in text.splitlines())
+    lines = [(no, line) for no, line in enumerate(stripped, start=1) if line]
     if not lines:
         raise ParseError("empty operation table")
-    m = re.fullmatch(r"optable\s+domain\s+(\d+)\s+arity\s+(\d+)", lines[0])
+    no, header = lines[0]
+    m = re.fullmatch(r"optable\s+domain\s+(\d+)\s+arity\s+(\d+)", header)
     if not m:
-        raise ParseError("expected 'optable domain <m> arity <k>'", 1)
+        raise ParseError("expected 'optable domain <m> arity <k>'", no)
     domain_size, arity = int(m.group(1)), int(m.group(2))
     values = []
-    for line in lines[1:]:
-        values.extend(int(v) for v in line.split())
+    for no, line in lines[1:]:
+        for entry in line.split():
+            try:
+                value = int(entry)
+            except ValueError:
+                raise ParseError(f"bad entry {entry!r}", no) from None
+            if not 0 <= value < domain_size:
+                raise ParseError(f"output {value} out of range for domain {domain_size}", no)
+            values.append(value)
     # with 2**arity over the count the table cannot fit; skip the huge power
     too_many_args = domain_size > 1 and arity > len(values).bit_length()
     if too_many_args or len(values) != domain_size**arity:
@@ -310,7 +325,7 @@ class TheorySpec:
         return self.theories[name]
 
 
-_TOKEN_RE = re.compile(
+_SPEC_TOKENS = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
@@ -323,82 +338,17 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-class _TokenStream:
-    def __init__(self, text: str):
-        self.tokens: list[_Token] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            value = m.group()
-            if kind not in ("ws", "comment"):
-                self.tokens.append(_Token(kind, value, line, col))
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise ParseError(
-                "unexpected end of input",
-                last.line if last else 1,
-                last.column if last else 1,
-            )
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> _Token:
-        tok = self.next()
-        if tok.value != value:
-            raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.column)
-        return tok
-
-    def expect_kind(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.value!r}", tok.line, tok.column)
-        return tok
-
-    def try_eat(self, value: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.value == value:
-            self.pos += 1
-            return True
-        return False
-
-
 def parse_theory_spec(text: str) -> TheorySpec:
-    toks = _TokenStream(text)
+    toks = qf.TokenStream(
+        text, _SPEC_TOKENS, lambda message, tok: ParseError(message, tok.line, tok.column)
+    )
     theories: dict[str, SampleFamily] = {}
     default = None
-    while toks.peek() is not None:
+    while toks.peek().kind != "end":
         toks.expect("theory")
         name_tok = toks.expect_kind("ident")
         if name_tok.value in theories:
-            raise ParseError(
-                f"theory {name_tok.value!r} defined twice", name_tok.line, name_tok.column
-            )
+            raise toks.error(f"theory {name_tok.value!r} defined twice", name_tok)
         toks.expect("=")
         family = _parse_builder(toks, theories, name_tok.value)
         theories[name_tok.value] = family
@@ -407,7 +357,7 @@ def parse_theory_spec(text: str) -> TheorySpec:
 
 
 def _parse_builder(
-    toks: _TokenStream, theories: dict[str, SampleFamily], name: str
+    toks: qf.TokenStream, theories: dict[str, SampleFamily], name: str
 ) -> SampleFamily:
     tok = toks.expect_kind("ident")
     kind = tok.value
@@ -449,8 +399,7 @@ def _parse_builder(
             max_n = int(toks.expect_kind("int").value)
             toks.expect(")")
             if base.decider is None:
-                raise ParseError(f"theory {base.name!r} has no reference decider",
-                                 tok.line, tok.column)
+                raise toks.error(f"theory {base.name!r} has no reference decider", tok)
             return sampling_from_decider(
                 base.signature, base.decider, max_n, name=name
             )
@@ -459,18 +408,18 @@ def _parse_builder(
     except (ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
-        raise ParseError(str(exc), tok.line, tok.column) from None
-    raise ParseError(f"unknown theory builder {kind!r}", tok.line, tok.column)
+        raise toks.error(str(exc), tok) from None
+    raise toks.error(f"unknown theory builder {kind!r}", tok)
 
 
-def _lookup(toks: _TokenStream, theories: dict[str, SampleFamily]) -> SampleFamily:
+def _lookup(toks: qf.TokenStream, theories: dict[str, SampleFamily]) -> SampleFamily:
     tok = toks.expect_kind("ident")
     if tok.value not in theories:
-        raise ParseError(f"theory {tok.value!r} used before definition", tok.line, tok.column)
+        raise toks.error(f"theory {tok.value!r} used before definition", tok)
     return theories[tok.value]
 
 
-def _parse_reldefs(toks: _TokenStream, base: tuple[str, Optional[int]]):
+def _parse_reldefs(toks: qf.TokenStream, base: tuple[str, Optional[int]]):
     kind, m = base
     toks.expect("{")
     defs = []
@@ -483,38 +432,36 @@ def _parse_reldefs(toks: _TokenStream, base: tuple[str, Optional[int]]):
         tok = toks.next()
         if tok.value == "base":
             if kind != "order":
-                raise ParseError("'base' is only available inside dense_order", tok.line, tok.column)
+                raise toks.error("'base' is only available inside dense_order", tok)
             if arity != 2:
-                raise ParseError("'base' denotes the binary order", tok.line, tok.column)
+                raise toks.error("'base' denotes the binary order", tok)
             defn: qf.QFDef = qf.RelAtom(qf.ORDER_SYMBOL, (1, 2))
         elif tok.value == "part":
             if kind != "part":
-                raise ParseError("'part(j)' is only available inside partition", tok.line, tok.column)
+                raise toks.error("'part(j)' is only available inside partition", tok)
             toks.expect("(")
             j = int(toks.expect_kind("int").value)
             toks.expect(")")
             if not (1 <= j <= (m or 0)):
-                raise ParseError(f"part({j}) is out of range", tok.line, tok.column)
+                raise toks.error(f"part({j}) is out of range", tok)
             if arity != 1:
-                raise ParseError("'part(j)' denotes a unary relation", tok.line, tok.column)
+                raise toks.error("'part(j)' denotes a unary relation", tok)
             defn = qf.RelAtom(qf.part_symbol(j), (1,))
         elif tok.kind == "string":
             try:
                 defn = qf.parse_definition(tok.value[1:-1])
             except qf.DefinitionError as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
+                raise toks.error(str(exc), tok) from None
         else:
-            raise ParseError(
-                f"expected 'base', 'part(j)' or a quoted formula, found {tok.value!r}",
-                tok.line,
-                tok.column,
+            raise toks.error(
+                f"expected 'base', 'part(j)' or a quoted formula, found {tok.value!r}", tok
             )
         defs.append((name, arity, defn))
         toks.try_eat(";")
     return defs
 
 
-def _parse_explicit(toks: _TokenStream, name: str) -> SampleFamily:
+def _parse_explicit(toks: qf.TokenStream, name: str) -> SampleFamily:
     toks.expect("{")
     toks.expect("sig")
     symbols = []
@@ -529,10 +476,7 @@ def _parse_explicit(toks: _TokenStream, name: str) -> SampleFamily:
     signature = Signature(symbols)
     equality_matching = False
     no_pp_algebraicity = False
-    while toks.peek() is not None and toks.peek().value in (
-        "equality_matching",
-        "no_pp_algebraicity",
-    ):
+    while toks.peek().value in ("equality_matching", "no_pp_algebraicity"):
         flag = toks.next().value
         toks.expect(";")
         if flag == "equality_matching":
@@ -555,8 +499,7 @@ def _parse_explicit(toks: _TokenStream, name: str) -> SampleFamily:
                 sym = toks.expect_kind("ident").value
                 toks.expect(":")
                 tuples = set()
-                while toks.peek() is not None and toks.peek().value == "(":
-                    toks.expect("(")
+                while toks.try_eat("("):
                     entries = [int(toks.expect_kind("int").value)]
                     while toks.try_eat(","):
                         entries.append(int(toks.expect_kind("int").value))
@@ -565,17 +508,13 @@ def _parse_explicit(toks: _TokenStream, name: str) -> SampleFamily:
                 toks.expect(";")
                 relations[sym] = tuples
             else:
-                raise ParseError(
-                    f"expected 'domain' or 'rel', found {inner.value!r}",
-                    inner.line,
-                    inner.column,
-                )
+                raise toks.error(f"expected 'domain' or 'rel', found {inner.value!r}", inner)
         if domain_size is None:
-            raise ParseError("sample block missing 'domain'", tok.line, tok.column)
+            raise toks.error("sample block missing 'domain'", tok)
         try:
             structures.append(Structure(signature, domain_size, relations))
         except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
+            raise toks.error(str(exc), tok) from None
     return explicit_sampling(
         signature,
         structures,

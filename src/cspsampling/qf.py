@@ -18,16 +18,21 @@ listing is checked against. The surface grammar is
 
 with ``!`` binding tightest, then ``&``, then ``|``. ``xI < xJ`` refers to
 the base symbol ``<`` and ``part(J)(xI)`` to the base symbol ``PJ``.
+
+``TokenStream`` is the one lexer of the package: it reads definitions here
+and theory specs in ``io``, each grammar with its own token pattern and its
+own exception.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .combinatorics import iter_block_labels, set_partition_counts
 from .model import Signature, Structure
@@ -98,23 +103,17 @@ def holds(
 
 
 def referenced_symbols(defn: QFDef) -> set[str]:
-    if isinstance(defn, RelAtom):
-        return {defn.symbol}
-    if isinstance(defn, EqAtom):
-        return set()
-    if isinstance(defn, Not):
-        return referenced_symbols(defn.inner)
-    return set().union(*(referenced_symbols(p) for p in defn.parts)) if defn.parts else set()
+    return {atom.symbol for atom in _atoms(defn) if isinstance(atom, RelAtom)}
 
 
 def max_variable(defn: QFDef) -> int:
-    if isinstance(defn, RelAtom):
-        return max(defn.args)
-    if isinstance(defn, EqAtom):
-        return max(defn.left, defn.right)
-    if isinstance(defn, Not):
-        return max_variable(defn.inner)
-    return max((max_variable(p) for p in defn.parts), default=0)
+    return max(
+        (
+            max(atom.args) if isinstance(atom, RelAtom) else max(atom.left, atom.right)
+            for atom in _atoms(defn)
+        ),
+        default=0,
+    )
 
 
 def check_definition(defn: QFDef, signature: Signature, k: int) -> None:
@@ -133,7 +132,7 @@ def check_definition(defn: QFDef, signature: Signature, k: int) -> None:
         raise DefinitionError(f"definition uses x{m} but only {k} variables exist")
 
 
-def _atoms(defn: QFDef) -> Iterable[QFDef]:
+def _atoms(defn: QFDef) -> Iterator[RelAtom | EqAtom]:
     if isinstance(defn, (RelAtom, EqAtom)):
         yield defn
     elif isinstance(defn, Not):
@@ -289,102 +288,150 @@ def _part_values(
 # --- parser ----------------------------------------------------------------
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
+class Token(NamedTuple):
+    kind: str
+    value: str
+    offset: int
+    line: int
+    column: int
+
+
+class TokenStream:
+    """The tokens of ``text``, one per match of a named group of ``pattern``,
+    read eagerly; ``ws`` and ``comment`` matches are dropped. ``error`` builds
+    the grammar's exception from a message and a token, also for a character
+    that no group matches. The last token, ``end``, has the text's length as
+    offset and the line and column of the token before it."""
+
+    def __init__(self, text: str, pattern: re.Pattern, error: Callable[[str, Token], Exception]):
+        self._error = error
+        self.tokens: list[Token] = []
+        line, line_start, pos = 1, 0, 0
+        while pos < len(text):
+            m = pattern.match(text, pos)
+            if m is None:
+                at = Token("", "", pos, line, pos - line_start + 1)
+                raise error(f"unexpected character {text[pos]!r}", at)
+            kind, value = m.lastgroup, m.group()
+            if kind != "ws" and kind != "comment":
+                self.tokens.append(Token(kind, value, pos, line, pos - line_start + 1))
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = pos + value.rindex("\n") + 1
+            pos = m.end()
+        last = self.tokens[-1] if self.tokens else Token("", "", 0, 1, 1)
+        self.tokens.append(Token("end", "", len(text), last.line, last.column))
         self.pos = 0
 
-    def error(self, message: str) -> DefinitionError:
-        return DefinitionError(f"{message} (at offset {self.pos} in {self.text!r})")
+    def error(self, message: str, tok: Token | None = None) -> Exception:
+        """The grammar's exception, at ``tok`` or else at the next token."""
+        return self._error(message, self.peek() if tok is None else tok)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind == "end":
+            raise self.error("unexpected end of input", tok)
+        self.pos += 1
+        return tok
+
+    def expect(self, value: str) -> Token:
+        tok = self.next()
+        if tok.value != value:
+            raise self.error(f"expected {value!r}, found {tok.value!r}", tok)
+        return tok
+
+    def expect_kind(self, kind: str) -> Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise self.error(f"expected {kind}, found {tok.value!r}", tok)
+        return tok
+
+    def try_eat(self, value: str) -> bool:
+        if self.tokens[self.pos].value == value:
             self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, s: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(s, self.pos):
-            raise self.error(f"expected {s!r}")
-        self.pos += len(s)
-
-    def try_eat(self, s: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
             return True
         return False
 
-    def eat_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a number")
-        return int(self.text[start : self.pos])
 
-    def eat_var(self) -> int:
-        self.skip_ws()
-        if self.peek() != "x":
-            raise self.error("expected a variable like x1")
-        self.pos += 1
-        index = self.eat_int()
-        if index < 1:
-            raise self.error("variable indices start at 1")
-        return index
+# ``x`` and its index are two tokens, so ``x 1`` reads as ``x1``; ``\d`` is
+# what ``int`` reads. The catch-all ``bad`` leaves each error to the grammar.
+_DEFINITION_TOKENS = re.compile(
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<punct>part|[x<=!&|()])|(?P<bad>.)", re.DOTALL
+)
 
 
 def parse_definition(text: str) -> QFDef:
-    toks = _Tokens(text)
+    def error(message: str, tok: Token) -> DefinitionError:
+        return DefinitionError(f"{message} (at offset {tok.offset} in {text!r})")
+
+    toks = TokenStream(text, _DEFINITION_TOKENS, error)
     defn = _parse_or(toks)
-    toks.skip_ws()
-    if toks.pos != len(toks.text):
+    if toks.peek().kind != "end":
         raise toks.error("unexpected trailing input")
     return defn
 
 
-def _parse_or(toks: _Tokens) -> QFDef:
+def _parse_or(toks: TokenStream) -> QFDef:
     parts = [_parse_and(toks)]
     while toks.try_eat("|"):
         parts.append(_parse_and(toks))
     return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
 
-def _parse_and(toks: _Tokens) -> QFDef:
+def _parse_and(toks: TokenStream) -> QFDef:
     parts = [_parse_unary(toks)]
     while toks.try_eat("&"):
         parts.append(_parse_unary(toks))
     return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
-def _parse_unary(toks: _Tokens) -> QFDef:
+def _parse_unary(toks: TokenStream) -> QFDef:
     if toks.try_eat("!"):
         return Not(_parse_unary(toks))
     if toks.try_eat("("):
         inner = _parse_or(toks)
-        toks.eat(")")
+        _eat(toks, ")")
         return inner
     return _parse_atom(toks)
 
 
-def _parse_atom(toks: _Tokens) -> QFDef:
-    toks.skip_ws()
-    if toks.text.startswith("part", toks.pos):
-        toks.eat("part")
-        toks.eat("(")
-        j = toks.eat_int()
-        toks.eat(")")
-        toks.eat("(")
-        i = toks.eat_var()
-        toks.eat(")")
+def _parse_atom(toks: TokenStream) -> QFDef:
+    if toks.try_eat("part"):
+        _eat(toks, "(")
+        j = _eat_int(toks)
+        _eat(toks, ")")
+        _eat(toks, "(")
+        i = _eat_var(toks)
+        _eat(toks, ")")
         return RelAtom(part_symbol(j), (i,))
-    left = toks.eat_var()
+    left = _eat_var(toks)
     if toks.try_eat("<"):
-        return RelAtom(ORDER_SYMBOL, (left, toks.eat_var()))
+        return RelAtom(ORDER_SYMBOL, (left, _eat_var(toks)))
     if toks.try_eat("="):
-        return EqAtom(left, toks.eat_var())
+        return EqAtom(left, _eat_var(toks))
     raise toks.error("expected '<' or '=' after variable")
+
+
+def _eat(toks: TokenStream, value: str) -> None:
+    if not toks.try_eat(value):
+        raise toks.error(f"expected {value!r}")
+
+
+def _eat_int(toks: TokenStream) -> int:
+    if toks.peek().kind != "int":
+        raise toks.error("expected a number")
+    return int(toks.next().value)
+
+
+def _eat_var(toks: TokenStream) -> int:
+    if not toks.try_eat("x"):
+        raise toks.error("expected a variable like x1")
+    tok = toks.peek()
+    index = _eat_int(toks)
+    if index < 1:
+        after = tok._replace(offset=tok.offset + len(tok.value))
+        raise toks.error("variable indices start at 1", after)
+    return index

@@ -146,6 +146,19 @@ def test_checkpoly_missing_file_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_checkpoly_bad_table_entry_exits_2_with_its_line(tmp_path, capsys):
+    structure = tmp_path / "two.txt"
+    structure.write_text("structure s over E/2\ndomain 2\nrel E: (0,1)\n")
+    table = tmp_path / "op.txt"
+    for body, message in (("0 x", "line 2: bad entry 'x'"),
+                          ("0 5", "line 2: output 5 out of range for domain 2")):
+        table.write_text(f"optable domain 2 arity 1\n{body}\n")
+        code, _, err = run(
+            capsys, "checkpoly", "--structure", str(structure), "--op", str(table)
+        )
+        assert code == 2 and err == f"error: {message}\n"
+
+
 def test_cli_verdicts_match_library_on_random_corpus(tmp_path, capsys):
     import random
 

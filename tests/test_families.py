@@ -195,6 +195,22 @@ def test_marked_colors_two_samples_disagree_on_the_mark():
     assert not cs.solve_via_sampling(fam, two_marks).satisfiable
 
 
+def test_marked_colors_samples_share_one_diff_listing(monkeypatch):
+    for n in range(1, 5):
+        b1, b2 = cs.marked_colors_sampling().generate(n)
+        assert b1.relations["diff"] is b2.relations["diff"]
+        assert b1.relations["diff"] == {
+            (i, j) for i in range(2 * n) for j in range(2 * n) if i != j
+        }
+
+    def listed(*args):
+        raise AssertionError("diff was listed")
+
+    monkeypatch.setattr(cs.families, "ListedRelation", listed)
+    with pytest.raises(cs.SamplingError, match="listing budget"):
+        cs.marked_colors_sampling().generate(1001)
+
+
 def test_generate_is_deterministic_and_cached():
     for fam in (
         cs.dense_order_sampling(),

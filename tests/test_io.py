@@ -138,6 +138,16 @@ def test_theory_spec_errors_carry_positions():
     with pytest.raises(io.ParseError) as err:
         io.parse_theory_spec("theory A = dense_order { rel lt/2 = part(1); }")
     assert "line" in str(err.value)
+    cases = {
+        "theory A = ": "line 1, column 10: unexpected end of input",
+        "theory A ! B": "line 1, column 10: unexpected character '!'",
+        'theory O = dense_order { rel m/2 = "x1 <"; }':
+            "line 1, column 36: expected a variable like x1 (at offset 4 in 'x1 <')",
+    }
+    for text, message in cases.items():
+        with pytest.raises(io.ParseError) as err:
+            io.parse_theory_spec(text)
+        assert str(err.value) == message
     with pytest.raises(io.ParseError):
         io.parse_theory_spec("theory A = unknown_builder")
     with pytest.raises(io.ParseError):
@@ -166,6 +176,23 @@ def test_explicit_domains_have_a_budget():
     limit = cs.sampling._MAX_ELEMENTS
     _, s = io.parse_structure(f"structure s over E/2\ndomain {limit}\nrel E:\n")
     assert s.domain_size == limit
+
+
+def test_non_decimal_digit_in_a_definition_is_reported_at_its_string():
+    with pytest.raises(io.ParseError) as err:
+        io.parse_theory_spec('theory O = dense_order { rel m/2 = "x1 < x\u00b2"; }')
+    assert str(err.value) == (
+        "line 1, column 36: expected a number (at offset 6 in 'x1 < x\u00b2')"
+    )
+
+
+def test_operation_table_entry_errors_name_their_line():
+    with pytest.raises(io.ParseError) as err:
+        io.parse_operation_table("optable domain 2 arity 1\n0\n# note\n\nx\n")
+    assert str(err.value) == "line 5: bad entry 'x'"
+    with pytest.raises(io.ParseError) as err:
+        io.parse_operation_table("# note\noptable domain 2 arity 1\n0 5\n")
+    assert str(err.value) == "line 3: output 5 out of range for domain 2"
 
 
 def test_operation_table_count_is_checked_before_enumerating(monkeypatch):

@@ -109,9 +109,30 @@ def test_parser_precedence_not_binds_tightest():
 
 
 def test_parse_errors_have_positions():
-    for bad in ("x1 <", "x1 ? x2", "(x1 = x2", "x1 = x2)", "part(1)x2", "x0 < x1"):
-        with pytest.raises(qf.DefinitionError):
+    cases = {
+        "x1 <": "expected a variable like x1 (at offset 4",
+        "x0 < x1": "variable indices start at 1 (at offset 2",
+        "x1 ? x2": "expected '<' or '=' after variable (at offset 3",
+        "(x1 = x2": "expected ')' (at offset 8",
+        "x1 = x2)": "unexpected trailing input (at offset 7",
+        "part(1)x2": "expected '(' (at offset 7",
+        "x1 = x2 # c": "unexpected trailing input (at offset 8",
+    }
+    for bad, message in cases.items():
+        with pytest.raises(qf.DefinitionError) as err:
             qf.parse_definition(bad)
+        assert str(err.value) == f"{message} in {bad!r})"
+    # accepted quirks: an index may follow its x after whitespace, and be
+    # written in any decimal digits
+    assert qf.parse_definition("x 1 = x1") == qf.EqAtom(1, 1)
+    assert qf.parse_definition("x\u0661 = x1") == qf.EqAtom(1, 1)
+
+
+def test_non_decimal_digits_are_parse_errors():
+    for bad, offset in (("x1 < x\u00b2", 6), ("part(\u00b2)(x1)", 5)):
+        with pytest.raises(qf.DefinitionError) as err:
+            qf.parse_definition(bad)
+        assert str(err.value) == f"expected a number (at offset {offset} in {bad!r})"
 
 
 def test_definition_validation_errors():
