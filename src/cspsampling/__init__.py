@@ -49,7 +49,7 @@ from .polymorphisms import (
     majority_eq_operation,
     min_operation,
 )
-from .qf import DefinitionError, evaluate_definition, parse_definition
+from .qf import DefinitionError, parse_definition
 from .sampling import (
     SampleFamily,
     SamplingError,
@@ -107,7 +107,6 @@ __all__ = [
     "disjoint_union",
     "equality_expansion",
     "establish_23_consistency",
-    "evaluate_definition",
     "explicit_sampling",
     "family_size",
     "find_totally_symmetric_polymorphism",

@@ -4,6 +4,8 @@ Each family couples a generator (index n -> finite structures) with a
 reference decision procedure for its theory. The deciders are exponential
 desk-scale oracles used by tests and by verify_equality_matching; the
 polynomial path is always solve_via_sampling over the generated samples.
+The dense order and the colored partition take an expansion, whose QF
+definitions ``qf.parse_expansion`` checks against their base signature.
 """
 
 from __future__ import annotations
@@ -17,29 +19,11 @@ from .formulas import Instance, Neq, Rel, contract_equalities
 from .model import ListedRelation, Signature, Structure, disjoint_union
 from .sampling import SampleFamily, SamplingError, _check_elements
 
-ExpansionDef = tuple[str, int, "qf.QFDef | str"]
-
-
-def _parse_expansion(
-    expansion: Sequence[ExpansionDef], base: Signature
-) -> list[tuple[str, int, qf.QFDef]]:
-    parsed = []
-    for name, arity, defn in expansion:
-        if isinstance(defn, str):
-            defn = qf.parse_definition(defn)
-        try:
-            qf.check_definition(defn, base, int(arity))
-        except qf.DefinitionError as err:
-            raise qf.DefinitionError(f"definition of {name!r}: {err}") from None
-        parsed.append((name, int(arity), defn))
-    return parsed
-
-
 # --- dense linear order -------------------------------------------------------
 
 
 def dense_order_sampling(
-    expansion: Optional[Sequence[ExpansionDef]] = None,
+    expansion: Optional[Sequence[qf.ExpansionDef]] = None,
     name: str = "dense-order",
 ) -> SampleFamily:
     """Sampling for reducts of first-order expansions of a dense linear order.
@@ -49,11 +33,11 @@ def dense_order_sampling(
     is evaluated once per weak ordering of its arguments, and each
     satisfied ordering with m blocks is listed from the increasing m-subsets
     of the chain. With no expansion given, the signature is the bare strict
-    order ``<``.
+    order ``<``. A bad definition raises DefinitionError.
     """
     if expansion is None:
         expansion = [(qf.ORDER_SYMBOL, 2, qf.RelAtom(qf.ORDER_SYMBOL, (1, 2)))]
-    parsed = _parse_expansion(expansion, Signature([(qf.ORDER_SYMBOL, 2)]))
+    parsed = qf.parse_expansion(expansion, Signature([(qf.ORDER_SYMBOL, 2)]))
     signature = Signature([(n_, a) for n_, a, _ in parsed])
 
     def builder(n: int) -> Sequence[Structure]:
@@ -119,13 +103,14 @@ def dense_order_sampling(
 
 def colored_partition_sampling(
     m: int,
-    expansion: Optional[Sequence[ExpansionDef]] = None,
+    expansion: Optional[Sequence[qf.ExpansionDef]] = None,
     name: Optional[str] = None,
 ) -> SampleFamily:
     """Sampling for reducts of first-order expansions of m infinite parts.
 
     The n-th sample has n elements in each of the m unary parts. With no
-    expansion given, the signature is the parts P1..Pm themselves.
+    expansion given, the signature is the parts P1..Pm themselves. A bad
+    definition raises DefinitionError.
     """
     if m < 1:
         raise SamplingError("a partition needs at least one part")
@@ -133,7 +118,7 @@ def colored_partition_sampling(
     part_names = [qf.part_symbol(j) for j in range(1, m + 1)]
     if expansion is None:
         expansion = [(p, 1, qf.RelAtom(p, (1,))) for p in part_names]
-    parsed = _parse_expansion(expansion, Signature([(p, 1) for p in part_names]))
+    parsed = qf.parse_expansion(expansion, Signature([(p, 1) for p in part_names]))
     signature = Signature([(n_, a) for n_, a, _ in parsed])
 
     def builder(n: int) -> Sequence[Structure]:

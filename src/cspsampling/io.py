@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import families, qf
 from .formulas import BOT, Atom, Eq, Instance, Neq, Rel, atom_variables, validate
-from .model import Signature, Structure
+from .model import Signature, SignatureError, Structure
 from .polymorphisms import OperationTable
 from .sampling import (
     SampleFamily,
@@ -66,6 +66,13 @@ def _check_domain(domain_size: int, line: int) -> None:
         _check_elements(domain_size, "an explicit domain")
     except SamplingError as exc:
         raise ParseError(str(exc), line) from None
+
+
+def _int(digits: str, line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than Python's int() reads
+        raise ParseError(f"number of {len(digits):,} digits is too long", line) from None
 
 
 def _strip_comment(line: str) -> str:
@@ -143,8 +150,11 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
         sm = re.fullmatch(rf"({IDENT}|<)/(\d+)", part)
         if not sm:
             raise ParseError(f"bad symbol declaration {part!r}", no)
-        symbols.append((sm.group(1), int(sm.group(2))))
-    signature = Signature(symbols)
+        symbols.append((sm.group(1), _int(sm.group(2), no)))
+    try:
+        signature = Signature(symbols)
+    except SignatureError as exc:
+        raise ParseError(str(exc), no) from None
     domain_size = None
     labels: dict[int, str] = {}
     relations: dict[str, set[tuple[int, ...]]] = {}
@@ -153,13 +163,13 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
             m = re.fullmatch(r"domain\s+(\d+)", line)
             if not m:
                 raise ParseError("expected 'domain <k>'", no)
-            domain_size = int(m.group(1))
+            domain_size = _int(m.group(1), no)
             _check_domain(domain_size, no)
         elif line.startswith("label"):
             m = re.fullmatch(r"label\s+(\d+)\s+(.*)", line)
             if not m:
                 raise ParseError("expected 'label <id> <text>'", no)
-            labels[int(m.group(1))] = m.group(2)
+            labels[_int(m.group(1), no)] = m.group(2)
         elif line.startswith("rel"):
             m = re.fullmatch(rf"rel\s+({IDENT}|<):\s*(.*)", line)
             if not m:
@@ -286,7 +296,9 @@ def parse_operation_table(text: str) -> OperationTable:
     m = re.fullmatch(r"optable\s+domain\s+(\d+)\s+arity\s+(\d+)", header)
     if not m:
         raise ParseError("expected 'optable domain <m> arity <k>'", no)
-    domain_size, arity = int(m.group(1)), int(m.group(2))
+    domain_size, arity = _int(m.group(1), no), _int(m.group(2), no)
+    if arity < 1:
+        raise ParseError("arity must be >= 1", no)
     values = []
     for no, line in lines[1:]:
         for entry in line.split():
@@ -367,7 +379,7 @@ def _parse_builder(
             return families.dense_order_sampling(defs, name=name)
         if kind == "partition":
             toks.expect("(")
-            m = int(toks.expect_kind("int").value)
+            m = toks.expect_int()
             toks.expect(")")
             defs = _parse_reldefs(toks, base=("part", m))
             return families.colored_partition_sampling(m, defs, name=name)
@@ -396,7 +408,7 @@ def _parse_builder(
             toks.expect("(")
             base = _lookup(toks, theories)
             toks.expect(",")
-            max_n = int(toks.expect_kind("int").value)
+            max_n = toks.expect_int()
             toks.expect(")")
             if base.decider is None:
                 raise toks.error(f"theory {base.name!r} has no reference decider", tok)
@@ -427,7 +439,7 @@ def _parse_reldefs(toks: qf.TokenStream, base: tuple[str, Optional[int]]):
         toks.expect("rel")
         name = toks.expect_kind("ident").value
         toks.expect("/")
-        arity = int(toks.expect_kind("int").value)
+        arity = toks.expect_int()
         toks.expect("=")
         tok = toks.next()
         if tok.value == "base":
@@ -440,7 +452,7 @@ def _parse_reldefs(toks: qf.TokenStream, base: tuple[str, Optional[int]]):
             if kind != "part":
                 raise toks.error("'part(j)' is only available inside partition", tok)
             toks.expect("(")
-            j = int(toks.expect_kind("int").value)
+            j = toks.expect_int()
             toks.expect(")")
             if not (1 <= j <= (m or 0)):
                 raise toks.error(f"part({j}) is out of range", tok)
@@ -468,7 +480,7 @@ def _parse_explicit(toks: qf.TokenStream, name: str) -> SampleFamily:
     while True:
         sym = toks.expect_kind("ident").value
         toks.expect("/")
-        arity = int(toks.expect_kind("int").value)
+        arity = toks.expect_int()
         symbols.append((sym, arity))
         if not toks.try_eat(","):
             break
@@ -492,7 +504,7 @@ def _parse_explicit(toks: qf.TokenStream, name: str) -> SampleFamily:
         while not toks.try_eat("}"):
             inner = toks.expect_kind("ident")
             if inner.value == "domain":
-                domain_size = int(toks.expect_kind("int").value)
+                domain_size = toks.expect_int()
                 _check_domain(domain_size, inner.line)
                 toks.expect(";")
             elif inner.value == "rel":
@@ -500,9 +512,9 @@ def _parse_explicit(toks: qf.TokenStream, name: str) -> SampleFamily:
                 toks.expect(":")
                 tuples = set()
                 while toks.try_eat("("):
-                    entries = [int(toks.expect_kind("int").value)]
+                    entries = [toks.expect_int()]
                     while toks.try_eat(","):
-                        entries.append(int(toks.expect_kind("int").value))
+                        entries.append(toks.expect_int())
                     toks.expect(")")
                     tuples.add(tuple(entries))
                 toks.expect(";")

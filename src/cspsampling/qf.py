@@ -18,6 +18,8 @@ listing is checked against. The surface grammar is
 
 with ``!`` binding tightest, then ``&``, then ``|``. ``xI < xJ`` refers to
 the base symbol ``<`` and ``part(J)(xI)`` to the base symbol ``PJ``.
+``parse_expansion`` is the one check of an expansion's definitions against
+its base signature, for the families and for ``equality_expansion`` alike.
 
 ``TokenStream`` is the one lexer of the package: it reads definitions here
 and theory specs in ``io``, each grammar with its own token pattern and its
@@ -32,7 +34,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import iter_block_labels, set_partition_counts
 from .model import Signature, Structure
@@ -81,6 +83,7 @@ class Or:
 
 
 QFDef = RelAtom | EqAtom | Not | And | Or
+ExpansionDef = tuple[str, int, QFDef | str]  # relation name, arity, definition
 
 
 def holds(
@@ -102,34 +105,43 @@ def holds(
     raise DefinitionError(f"not a definition node: {defn!r}")
 
 
-def referenced_symbols(defn: QFDef) -> set[str]:
-    return {atom.symbol for atom in _atoms(defn) if isinstance(atom, RelAtom)}
-
-
-def max_variable(defn: QFDef) -> int:
-    return max(
-        (
-            max(atom.args) if isinstance(atom, RelAtom) else max(atom.left, atom.right)
-            for atom in _atoms(defn)
-        ),
-        default=0,
-    )
-
-
 def check_definition(defn: QFDef, signature: Signature, k: int) -> None:
-    for name in referenced_symbols(defn):
-        if name not in signature:
-            raise DefinitionError(f"definition references unknown symbol {name!r}")
+    """Refuse the first atom, in text order, whose symbol is not in
+    ``signature`` or whose argument count is not its arity; then a
+    variable past ``xk``, naming the largest."""
+    m = 0
     for atom in _atoms(defn):
-        if isinstance(atom, RelAtom):
-            arity = signature.arity(atom.symbol)
-            if len(atom.args) != arity:
-                raise DefinitionError(
-                    f"{atom.symbol} expects {arity} arguments, got {len(atom.args)}"
-                )
-    m = max_variable(defn)
+        if isinstance(atom, EqAtom):
+            m = max(m, atom.left, atom.right)
+            continue
+        if atom.symbol not in signature:
+            raise DefinitionError(f"definition references unknown symbol {atom.symbol!r}")
+        arity = signature.arity(atom.symbol)
+        if len(atom.args) != arity:
+            raise DefinitionError(
+                f"{atom.symbol} expects {arity} arguments, got {len(atom.args)}"
+            )
+        m = max(m, *atom.args)
     if m > k:
         raise DefinitionError(f"definition uses x{m} but only {k} variables exist")
+
+
+def parse_expansion(
+    expansion: Sequence[ExpansionDef], base: Signature
+) -> list[tuple[str, int, QFDef]]:
+    """Each (name, arity, definition) of an expansion of ``base``, its
+    definition parsed from text if need be and checked against ``base``
+    and its arity; a failed check names the relation."""
+    parsed = []
+    for name, arity, defn in expansion:
+        if isinstance(defn, str):
+            defn = parse_definition(defn)
+        try:
+            check_definition(defn, base, int(arity))
+        except DefinitionError as err:
+            raise DefinitionError(f"definition of {name!r}: {err}") from None
+        parsed.append((name, int(arity), defn))
+    return parsed
 
 
 def _atoms(defn: QFDef) -> Iterator[RelAtom | EqAtom]:
@@ -349,6 +361,13 @@ class TokenStream:
             raise self.error(f"expected {kind}, found {tok.value!r}", tok)
         return tok
 
+    def expect_int(self) -> int:
+        tok = self.expect_kind("int")
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than Python's int() reads
+            raise self.error(f"number of {len(tok.value):,} digits is too long", tok) from None
+
     def try_eat(self, value: str) -> bool:
         if self.tokens[self.pos].value == value:
             self.pos += 1
@@ -423,7 +442,7 @@ def _eat(toks: TokenStream, value: str) -> None:
 def _eat_int(toks: TokenStream) -> int:
     if toks.peek().kind != "int":
         raise toks.error("expected a number")
-    return int(toks.next().value)
+    return toks.expect_int()
 
 
 def _eat_var(toks: TokenStream) -> int:

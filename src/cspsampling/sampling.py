@@ -72,9 +72,6 @@ class SampleFamily:
             self._cache[n] = cached
         return cached
 
-    def size(self, n: int) -> int:
-        return family_size(self, n)
-
 
 def _check_elements(count: int, what: str) -> None:
     """Refuse a structure of more than ``_MAX_ELEMENTS`` elements."""
@@ -133,7 +130,6 @@ def sampling_from_decider(
     signature: Signature,
     decider: Decider,
     max_n: int,
-    equality_matching: bool = False,
     name: str = "from-decider",
 ) -> SampleFamily:
     """Canonical databases of all decider-satisfiable small conjunctions.
@@ -181,9 +177,7 @@ def sampling_from_decider(
                         out.append(canonical_database(inst))
         return out
 
-    return SampleFamily(
-        signature, builder, equality_matching, False, decider, name
-    )
+    return SampleFamily(signature, builder, decider=decider, name=name)
 
 
 def _renaming_count(signature: Signature, n: int) -> int:
@@ -607,13 +601,13 @@ def _union_decider(
 # --- expansion by equality-definable relations -------------------------------
 
 
-def equality_expansion(
-    s: SampleFamily, defs: Sequence[tuple[str, int, qf.QFDef | str]]
-) -> SampleFamily:
+def equality_expansion(s: SampleFamily, defs: Sequence[qf.ExpansionDef]) -> SampleFamily:
     """Expand every sample with relations defined over equality alone.
 
-    Each definition may use only equality atoms between its variables; a
-    definition mentioning a relation symbol is rejected. A defined relation
+    The definitions are checked by ``qf.parse_expansion`` over the empty
+    signature, so each may use only equality atoms between its variables.
+    A definition that does not parse, mentions a relation symbol or uses a
+    variable past its arity raises SamplingError. A defined relation
     is listed by equality pattern (``qf.part_types`` with one part): the
     definition is evaluated once per set partition of its arguments, and
     each satisfied partition is listed by the injective maps of its blocks
@@ -622,18 +616,10 @@ def equality_expansion(
     """
     if not s.equality_matching:
         raise SamplingError(f"{s.name} is not flagged equality-matching")
-    parsed: list[tuple[str, int, qf.QFDef]] = []
-    for name, arity, defn in defs:
-        if isinstance(defn, str):
-            defn = qf.parse_definition(defn)
-        mentioned = qf.referenced_symbols(defn)
-        if mentioned:
-            raise SamplingError(
-                f"definition of {name!r} mentions relation symbols {sorted(mentioned)}"
-            )
-        if qf.max_variable(defn) > arity:
-            raise SamplingError(f"definition of {name!r} uses more than {arity} variables")
-        parsed.append((name, arity, defn))
+    try:
+        parsed = qf.parse_expansion(defs, Signature([]))
+    except qf.DefinitionError as err:
+        raise SamplingError(str(err)) from None
     signature = s.signature.union(Signature([(n, a) for n, a, _ in parsed]))
 
     def builder(n: int) -> Sequence[Structure]:

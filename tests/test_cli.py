@@ -159,6 +159,33 @@ def test_checkpoly_bad_table_entry_exits_2_with_its_line(tmp_path, capsys):
         assert code == 2 and err == f"error: {message}\n"
 
 
+def test_checkpoly_header_errors_exit_2_with_their_line(tmp_path, capsys):
+    structure, table = tmp_path / "s.txt", tmp_path / "op.txt"
+    good_structure = "structure s over E/2\ndomain 2\nrel E: (0,1)\n"
+    good_table = "optable domain 2 arity 1\n0 1\n"
+    for structure_text, table_text, message in (
+        ("structure s over E/0\ndomain 2\n", good_table,
+         "line 1: arity of 'E' must be >= 1, got 0"),
+        ("structure s over E/2 E/2\ndomain 2\n", good_table,
+         "line 1: duplicate relation symbol 'E'"),
+        (good_structure, "optable domain 2 arity 0\n0\n", "line 1: arity must be >= 1"),
+    ):
+        structure.write_text(structure_text)
+        table.write_text(table_text)
+        code, _, err = run(
+            capsys, "checkpoly", "--structure", str(structure), "--op", str(table)
+        )
+        assert code == 2 and err == f"error: {message}\n"
+
+
+def test_checkpoly_builtin_majority(tmp_path, capsys):
+    chain = tmp_path / "chain.txt"
+    chain.write_text(io.print_structure(cs.dense_order_sampling().generate(3)[0]))
+    code, out, _ = run(capsys, "checkpoly", "--structure", str(chain), "--op", "majority_eq")
+    assert code == 0
+    assert out == "polymorphism: true\ntotally_symmetric: false\nnear_unanimity: true\n"
+
+
 def test_cli_verdicts_match_library_on_random_corpus(tmp_path, capsys):
     import random
 

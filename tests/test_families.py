@@ -1,5 +1,8 @@
 import itertools
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +237,41 @@ def test_expansion_definition_errors_propagate():
         cs.colored_partition_sampling(2, [("bad", 1, "x1 < x1")])
     with pytest.raises(cs.DefinitionError):
         cs.dense_order_sampling([("bad", 1, "x1 < x2")])
+
+
+def test_one_bad_definition_fails_alike_in_every_expansion():
+    base = cs.dense_order_sampling()
+    builders = (
+        (cs.dense_order_sampling, cs.DefinitionError),
+        (lambda defs: cs.colored_partition_sampling(2, defs), cs.DefinitionError),
+        (lambda defs: cs.equality_expansion(base, defs), cs.SamplingError),
+    )
+    cases = {
+        "part(3)(x1) & x1 < x2": "definition references unknown symbol 'P3'",
+        "x1 = x3": "definition uses x3 but only 2 variables exist",
+    }
+    for text, message in cases.items():
+        for build, error in builders:
+            with pytest.raises(error) as err:
+                build([("bad", 2, text)])
+            assert str(err.value) == f"definition of 'bad': {message}"
+
+
+def test_expansion_errors_do_not_depend_on_the_hash_seed():
+    code = (
+        "import cspsampling as cs\n"
+        "try:\n"
+        "    cs.dense_order_sampling([('bad', 1, 'part(3)(x1) & part(1)(x1)')])\n"
+        "except cs.DefinitionError as err:\n"
+        "    print(err)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert proc.stdout == "definition of 'bad': definition references unknown symbol 'P3'\n"
 
 
 def test_partition_and_succ2col_samples_have_an_element_budget():

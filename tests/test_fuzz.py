@@ -5,9 +5,10 @@ Under pytest this file starts itself as a script in a subprocess capped at
 shipped theory and instance, a printed structure and a printed operation
 table) with byte flips, digit edits and token deletions or duplications,
 parses every mutant, and solves every theory and instance pair that parses.
-Each round must end in a result or a ValueError; anything else (a
-MemoryError, a RecursionError, a bare exception) fails the test with the
-seed, the round and the input. Standalone:
+A parse must end in a result or an ``io.ParseError``, and a solve in a
+result or a ValueError; anything else (a bare ValueError from a parser, a
+MemoryError, a RecursionError) fails the test with the seed, the round and
+the input. Standalone:
 ``PYTHONPATH=src python tests/test_fuzz.py <seed> <rounds>``.
 """
 
@@ -61,29 +62,43 @@ def fuzz(seed: int, rounds: int) -> int:
         "optable": io.print_operation_table(cs.majority_eq_operation(3)),
     }
 
-    def solve(fam, text: str) -> None:
-        cs.solve_via_sampling(fam, io.parse_instance(text, fam.signature))
+    def parse(kind: str, text: str):
+        """The theory and instance to solve, or None for a structure or table."""
+        if kind == "theory":
+            fam = io.parse_theory_spec(text).family()
+            return fam, io.parse_instance(instance, fam.signature)
+        if kind == "instance":
+            return family, io.parse_instance(text, family.signature)
+        if kind == "structure":
+            io.parse_structures(text)
+        else:
+            io.parse_operation_table(text)
+        return None
 
     rng = random.Random(seed)
     for round_no in range(rounds):
         kind = rng.choice(sorted(sources))
         text = mutate(sources[kind], rng)
+        stage = "parse"
         try:
-            if kind == "theory":
-                solve(io.parse_theory_spec(text).family(), instance)
-            elif kind == "instance":
-                solve(family, text)
-            elif kind == "structure":
-                io.parse_structures(text)
-            else:
-                io.parse_operation_table(text)
-        except ValueError:
+            parsed = parse(kind, text)
+            stage = "solve"
+            if parsed is not None:
+                cs.solve_via_sampling(*parsed)
+        except io.ParseError:
             pass
+        except ValueError:
+            if stage == "parse":
+                return report(seed, round_no, kind, text)
         except BaseException:
-            print(f"seed {seed}, round {round_no}, mutated {kind}:\n{text!r}")
-            traceback.print_exc(file=sys.stdout)
-            return 1
+            return report(seed, round_no, kind, text)
     return 0
+
+
+def report(seed: int, round_no: int, kind: str, text: str) -> int:
+    print(f"seed {seed}, round {round_no}, mutated {kind}:\n{text!r}")
+    traceback.print_exc(file=sys.stdout)
+    return 1
 
 
 def test_mutated_inputs_give_a_result_or_a_value_error():

@@ -41,6 +41,13 @@ def test_structure_parse_errors():
         io.parse_structure("structure s over E/2\ndomain 1\nrel F: (0,0)\n")
     with pytest.raises(io.ParseError):
         io.parse_structure("structure s over E/2\ndomain 1\nrel E: (0,5)\n")
+    for text, message in (
+        ("structure s over E/0\ndomain 1\n", "line 1: arity of 'E' must be >= 1, got 0"),
+        ("\nstructure s over E/2 E/2\ndomain 1\n", "line 2: duplicate relation symbol 'E'"),
+    ):
+        with pytest.raises(io.ParseError) as err:
+            io.parse_structures(text)
+        assert str(err.value) == message
 
 
 def test_instance_parse_and_round_trip():
@@ -193,6 +200,9 @@ def test_operation_table_entry_errors_name_their_line():
     with pytest.raises(io.ParseError) as err:
         io.parse_operation_table("# note\noptable domain 2 arity 1\n0 5\n")
     assert str(err.value) == "line 3: output 5 out of range for domain 2"
+    with pytest.raises(io.ParseError) as err:
+        io.parse_operation_table("# note\noptable domain 2 arity 0\n0\n")
+    assert str(err.value) == "line 2: arity must be >= 1"
 
 
 def test_operation_table_count_is_checked_before_enumerating(monkeypatch):
@@ -204,3 +214,44 @@ def test_operation_table_count_is_checked_before_enumerating(monkeypatch):
         io.parse_operation_table("optable domain 100 arity 6\n0\n")
     with pytest.raises(io.ParseError, match="found 1"):
         io.parse_operation_table("optable domain 2 arity 99999999999\n0\n")
+
+
+def test_overlong_numbers_in_line_formats_are_parse_errors_at_their_line():
+    digits = "7" * 5000
+    for text, line in (
+        (f"structure s over E/{digits}\ndomain 1\n", 1),
+        (f"structure s over E/1\ndomain {digits}\n", 2),
+        (f"structure s over E/1\ndomain 1\nlabel {digits} a\n", 3),
+        (f"# table\noptable domain {digits} arity 1\n0\n", 2),
+        (f"optable domain 2 arity {digits}\n0\n", 1),
+    ):
+        parse = io.parse_operation_table if "optable" in text else io.parse_structures
+        with pytest.raises(io.ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line {line}: number of 5,000 digits is too long"
+
+
+def test_overlong_numbers_in_specs_are_parse_errors_at_the_number():
+    digits = "5" * 5000
+    cases = {
+        f"theory P = partition({digits}) {{ }}": "line 1, column 22",
+        f"theory P = partition(2) {{\n  rel a/{digits} = part(1); }}": "line 2, column 9",
+        f"theory S = successor\ntheory F = from_decider(S, {digits})": "line 2, column 28",
+        f"theory E = explicit {{ sig E/1; sample {{ domain {digits}; }} }}": "line 1, column 48",
+    }
+    for text, where in cases.items():
+        with pytest.raises(io.ParseError) as err:
+            io.parse_theory_spec(text)
+        assert str(err.value) == f"{where}: number of 5,000 digits is too long"
+    with pytest.raises(io.ParseError) as err:
+        io.parse_theory_spec(f'theory O = dense_order {{ rel m/2 = "x{digits} < x1"; }}')
+    assert str(err.value).startswith(
+        "line 1, column 36: number of 5,000 digits is too long (at offset 1 in"
+    )
+
+
+def test_comments_start_outside_quotes():
+    _, s = io.parse_structure(
+        'structure s over E/1\ndomain 2\nlabel 0 a "#b" c\nlabel 1 x #c\nrel E:\n'
+    )
+    assert s.labels == ('a "#b" c', "x")

@@ -86,8 +86,7 @@ def test_min_of_two_definition_matches_integer_min():
 )
 def test_evaluator_agrees_with_tuple_set_semantics(text):
     defn = qf.parse_definition(text)
-    k = max(3, qf.max_variable(defn))
-    assert qf.evaluate_definition(defn, CHAIN3, k) == tuple_sets(defn, CHAIN3, k)
+    assert qf.evaluate_definition(defn, CHAIN3, 3) == tuple_sets(defn, CHAIN3, 3)
 
 
 def test_part_atom_parsing():
@@ -199,3 +198,29 @@ def test_type_counts_and_sizes_cover_every_tuple_once(k):
             types = list(types)
             assert count == len(types)
             assert sum(size for _, _, size, _ in types) == (n * m) ** k
+
+
+def test_an_overlong_index_is_a_definition_error_at_its_offset():
+    digits = "1" * 5000
+    for text, offset in ((f"x{digits} = x1", 1), (f"part({digits})(x1)", 5)):
+        with pytest.raises(qf.DefinitionError) as err:
+            qf.parse_definition(text)
+        assert str(err.value) == (
+            f"number of 5,000 digits is too long (at offset {offset} in {text!r})"
+        )
+
+
+def test_check_definition_reports_the_first_failing_atom_in_text_order():
+    order = Signature([("<", 2)])
+    for text, symbol in (("part(3)(x1) & part(1)(x1)", "P3"),
+                         ("part(1)(x1) | !part(3)(x1)", "P1")):
+        with pytest.raises(qf.DefinitionError) as err:
+            qf.check_definition(qf.parse_definition(text), order, 1)
+        assert str(err.value) == f"definition references unknown symbol {symbol!r}"
+    # an arity mismatch ahead of an unknown symbol is the one reported
+    defn = qf.And((qf.RelAtom("<", (1,)), qf.RelAtom("missing", (1,))))
+    with pytest.raises(qf.DefinitionError, match="< expects 2 arguments, got 1"):
+        qf.check_definition(defn, order, 1)
+    # variables are checked after every atom, naming the largest
+    with pytest.raises(qf.DefinitionError, match="uses x5 but only 2"):
+        qf.check_definition(qf.parse_definition("x3 = x1 & x5 < x2"), order, 2)

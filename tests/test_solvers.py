@@ -137,6 +137,16 @@ def test_targets_without_the_instances_relations_are_refused():
                 solver(inst, only_f)
 
 
+def test_check_witness_refuses_a_missing_variable_and_falsum():
+    sig = Signature([("E", 2)])
+    target = Structure(sig, 2, {"E": {(0, 1)}})
+    edge = Instance.of(sig, [Rel("E", ("x", "y"))])
+    assert cs.check_witness(edge, target, {"x": 0, "y": 1})
+    assert not cs.check_witness(edge, target, {"x": 0})
+    falsum = Instance.of(sig, [Rel("E", ("x", "y")), BOT])
+    assert not cs.check_witness(falsum, target, {"x": 0, "y": 1})
+
+
 def test_arc_consistency_edge_instance():
     inst = Instance.of(EDGE.signature, [Rel("E", ("x", "y"))])
     state = cs.arc_consistency(inst, EDGE)
