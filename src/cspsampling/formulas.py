@@ -1,7 +1,7 @@
 """Conjunctions of atomic formulas and their normalization.
 
 An instance is a conjunction of relation atoms, equalities, disequalities
-and the falsum atom over named variables. Variables are interned strings;
+and the falsum atom over named variables. Variables are plain strings;
 the canonical database orders elements by first occurrence, so it is
 deterministic. Any normalization that discovers a contradiction rewrites
 the instance to the single falsum atom: solvers need only one

@@ -163,13 +163,18 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
             m = re.fullmatch(r"domain\s+(\d+)", line)
             if not m:
                 raise ParseError("expected 'domain <k>'", no)
+            if domain_size is not None:
+                raise ParseError("repeated 'domain' line", no)
             domain_size = _int(m.group(1), no)
             _check_domain(domain_size, no)
         elif line.startswith("label"):
             m = re.fullmatch(r"label\s+(\d+)\s+(.*)", line)
             if not m:
                 raise ParseError("expected 'label <id> <text>'", no)
-            labels[_int(m.group(1), no)] = m.group(2)
+            element = _int(m.group(1), no)
+            if element in labels:
+                raise ParseError(f"repeated label for element {element}", no)
+            labels[element] = m.group(2)
         elif line.startswith("rel"):
             m = re.fullmatch(rf"rel\s+({IDENT}|<):\s*(.*)", line)
             if not m:
@@ -177,6 +182,8 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
             sym = m.group(1)
             if sym not in signature:
                 raise ParseError(f"relation {sym!r} is not declared", no)
+            if sym in relations:
+                raise ParseError(f"repeated 'rel {sym}' line", no)
             tuples = set()
             rest = m.group(2).strip()
             if rest:
@@ -312,7 +319,9 @@ def parse_operation_table(text: str) -> OperationTable:
     # with 2**arity over the count the table cannot fit; skip the huge power
     too_many_args = domain_size > 1 and arity > len(values).bit_length()
     if too_many_args or len(values) != domain_size**arity:
-        raise ParseError(f"expected {domain_size}**{arity} values, found {len(values)}")
+        raise ParseError(
+            f"expected {domain_size}**{arity} values, found {len(values)}", lines[0][0]
+        )
     args_in_order = itertools.product(range(domain_size), repeat=arity)
     return OperationTable(domain_size, arity, dict(zip(args_in_order, values)))
 

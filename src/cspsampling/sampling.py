@@ -300,23 +300,35 @@ class _ProductArc:
     both coordinates and a constant one is constant in both, so the
     partners of watched (o, y) are the lifted factor partners of o outside
     the column of y, plus (o, y) itself when it is on the lifted diagonal.
-    ``revise`` keeps the self-supported values, then takes each affected
-    own row with factor partners: the watched values within the row's
-    lifted partners support the whole row when they reach two columns, the
-    row outside their column when they lie in one, and none of it when
-    there are none. That is O(|D_own|) mask operations, where listed
-    partner masks would take one per product value.
+    ``revise`` keeps the self-supported values and the affected own rows
+    with factor partners, then narrows the rows that can have lost support:
+    the watched values within a row's lifted partners support the whole row
+    when they reach two columns, the row outside their column when they lie
+    in one, and none of it when there are none. A row o with factor
+    partners P(o) has |P(o)| lifted partners in each of the k =
+    ``other_size`` columns, so watched values in at most one column miss at
+    least |P(o)|·(k - 1) of them; a watched mask misses |D| - |W| values,
+    so only the rows whose need |P(o)|·(k - 1) is at most that are checked,
+    in ascending order of need. That is O(|D_own|) mask operations at most,
+    where listed partner masks would take one per product value.
     """
 
-    __slots__ = ("_to_affected", "_rows", "_diagonal", "_own_scale", "_own_size", "_column")
+    __slots__ = (
+        "_to_affected", "_rows", "_keys", "_diagonal", "_domain_size", "_own_scale",
+        "_own_size", "_column",
+    )
 
     def __init__(self, rel: _ProductRelation, to_affected: dict, to_watched: dict, diagonal: int):
         self._to_affected = to_affected
-        self._rows = tuple(
-            (rel.row << o * rel.own_scale, lifted) for o, lifted in to_watched.items()
+        k, row, scale = rel.other_size, rel.row, rel.own_scale
+        rows = sorted(
+            (lifted.bit_count() // k * (k - 1), o, lifted) for o, lifted in to_watched.items()
         )
+        self._rows = tuple((need, row << o * scale, lifted) for need, o, lifted in rows)
+        self._keys = sum(r for _, r, _ in self._rows)
         self._diagonal = diagonal
-        self._own_scale = rel.own_scale
+        self._domain_size = rel.domain_size
+        self._own_scale = scale
         self._own_size = rel.own_size
         self._column = rel.column
 
@@ -331,16 +343,22 @@ class _ProductArc:
 
     def revise(self, dom_affected: int, dom_watched: int) -> int:
         own_scale, own_size, column = self._own_scale, self._own_size, self._column
-        keep = dom_affected & dom_watched & self._diagonal
-        for row, lifted in self._rows:
-            row_affected = dom_affected & row
+        new = dom_affected & self._keys
+        threshold = self._domain_size - dom_watched.bit_count()
+        for need, row, lifted in self._rows:
+            if need > threshold:
+                break
+            row_affected = new & row
             if row_affected:
                 support = dom_watched & lifted
                 if support:
                     low = (support & -support).bit_length() - 1
                     at = column << low - low // own_scale % own_size * own_scale
-                    keep |= row_affected & ~at if support & at == support else row_affected
-        return keep
+                    if support & at == support:
+                        new ^= row_affected & at
+                else:
+                    new ^= row_affected
+        return new | dom_affected & dom_watched & self._diagonal
 
 
 class _ProductRelation(RuleRelation):

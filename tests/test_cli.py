@@ -178,6 +178,14 @@ def test_checkpoly_header_errors_exit_2_with_their_line(tmp_path, capsys):
         assert code == 2 and err == f"error: {message}\n"
 
 
+def test_checkpoly_repeated_structure_line_exits_2_with_its_line(tmp_path, capsys):
+    structure = tmp_path / "s.txt"
+    structure.write_text("structure s over E/2\ndomain 2\nrel E: (0,1)\nrel E: (1,0)\n")
+    code, out, err = run(capsys, "checkpoly", "--structure", str(structure), "--op", "min2")
+    assert code == 2 and out == ""
+    assert err == "error: line 4: repeated 'rel E' line\n"
+
+
 def test_checkpoly_builtin_majority(tmp_path, capsys):
     chain = tmp_path / "chain.txt"
     chain.write_text(io.print_structure(cs.dense_order_sampling().generate(3)[0]))

@@ -50,6 +50,23 @@ def test_structure_parse_errors():
         assert str(err.value) == message
 
 
+def test_repeated_structure_lines_are_parse_errors_at_the_repeat():
+    head = "structure s over E/2\ndomain 2\n"
+    for text, message in (
+        (head + "rel E: (0,1)\nrel E: (1,0)\n", "line 4: repeated 'rel E' line"),
+        (head + "rel E:\nrel E: (1,0) # note\n", "line 4: repeated 'rel E' line"),
+        (head + "label 0 a\nlabel 1 b\nlabel 0 c\n", "line 5: repeated label for element 0"),
+        (head + "rel E: (0,1)\ndomain 3\n", "line 4: repeated 'domain' line"),
+        ("structure s over E/2\ndomain 2\ndomain 2\n", "line 3: repeated 'domain' line"),
+    ):
+        with pytest.raises(io.ParseError) as err:
+            io.parse_structures(text)
+        assert str(err.value) == message
+    # one line per symbol, in separate blocks too, is not a repeat
+    two = io.parse_structures(head + "rel E: (0,1)\n\n" + head + "rel E: (1,0)\n")
+    assert [set(s.relations["E"]) for _, s in two] == [{(0, 1)}, {(1, 0)}]
+
+
 def test_instance_parse_and_round_trip():
     sig = Signature([("lt", 2), ("p0", 1), ("min3", 3)])
     inst = io.parse_instance("lt(x,y); lt(y,z); p0(x)", sig)
@@ -203,6 +220,9 @@ def test_operation_table_entry_errors_name_their_line():
     with pytest.raises(io.ParseError) as err:
         io.parse_operation_table("# note\noptable domain 2 arity 0\n0\n")
     assert str(err.value) == "line 2: arity must be >= 1"
+    with pytest.raises(io.ParseError) as err:
+        io.parse_operation_table("# note\noptable domain 2 arity 1\n0\n")
+    assert str(err.value) == "line 2: expected 2**1 values, found 1"
 
 
 def test_operation_table_count_is_checked_before_enumerating(monkeypatch):

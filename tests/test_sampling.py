@@ -360,9 +360,18 @@ def _assert_matches_reference(b1, b2, rng):
             assert ref.support_masks(name, args, masks) == want, (name, args, masks)
 
 
-def _mask_pairs(rng, size):
-    """Seeded (affected, watched) mask pairs: empty, single values, two
-    values, sparse, even and dense random masks, and the full domain."""
+def _mask_pairs(rng, rel, supports):
+    """Seeded (affected, watched) mask pairs over a product relation's
+    domain: empty, single values, two values, sparse, even and dense random
+    masks, and the full domain. Then watched masks at the edge of the
+    arc's pigeonhole bound, where a row o needs |D| - |W| >= |P(o)|·(k - 1)
+    to change: the full domain less j random values, for every j from 1 to
+    one past the largest such need; the full domain less the partners of
+    one affected value other than itself, which lack exactly its row's need;
+    lifted own masks, with whole rows removed as projection seeds are; and
+    masks with whole columns removed, as the seeds of the other factor's
+    unary relations are."""
+    size = rel.domain_size
     full = (1 << size) - 1
 
     def mask():
@@ -379,17 +388,33 @@ def _mask_pairs(rng, size):
             return rng.getrandbits(size) | rng.getrandbits(size)
         return full
 
-    return [(0, full), (full, 0), (full, full)] + [(mask(), mask()) for _ in range(30)]
+    pairs = [(0, full), (full, 0), (full, full)] + [(mask(), mask()) for _ in range(30)]
+    others = {a: m & ~(1 << a) for a, m in supports.items()}
+    largest = max((m.bit_count() for m in others.values()), default=0)
+    watched = [
+        full & ~sum(1 << v for v in rng.sample(range(size), j))
+        for j in range(1, min(largest + 1, size) + 1)
+    ]
+    watched += [full & ~others[a] for a in rng.sample(sorted(others), min(len(others), 8))]
+    for _ in range(4):
+        own = sum(1 << o for o in range(rel.own_size) if rng.random() < 0.7)
+        columns = [y for y in range(rel.other_size) if rng.random() < 0.4]
+        watched += [
+            rel.lift(own),
+            full & ~sum(rel.column << y * rel.other_scale for y in columns),
+        ]
+    return pairs + [(rng.choice((full, mask())), w) for w in watched]
 
 
 def _assert_arcs_match(prod, ref, name, watched, affected, rng):
     """The product's arc query against the pigeonhole arc of the
     materialized reference and against a scan of its partner masks."""
-    arc, ref_arc = (s.relations[name].arc(watched, affected) for s in (prod, ref))
+    rel = prod.relations[name]
+    arc, ref_arc = rel.arc(watched, affected), ref.relations[name].arc(watched, affected)
     _, supports = ref.shaped_masks(name, watched, affected)
     for value in range(ref.domain_size):
         assert arc.partners(value) == ref_arc.partners(value), (name, watched, value)
-    for dom_a, dom_w in _mask_pairs(rng, ref.domain_size):
+    for dom_a, dom_w in _mask_pairs(rng, rel, supports):
         scan = sum(
             1 << a for a in range(ref.domain_size)
             if dom_a >> a & 1 and supports.get(a, 0) & dom_w
@@ -421,6 +446,11 @@ def test_implicit_product_matches_the_materialized_reference():
     for n in (2, 3):  # the wide relation in the second factor: the comb path
         (b1,), (b2,) = colors.generate(n), order.generate(n)
         _assert_matches_reference(b1, b2, rng)
+    # two colors: each row's lifted partners lie in two columns, so a row
+    # can lose support once the watched mask misses as many values as it
+    # has factor partners, the tightest case of the arcs' pigeonhole bound
+    (b1,), (b2,) = order.generate(5), colors.generate(1)
+    _assert_matches_reference(b1, b2, rng)
     sig_t = Signature([("T", 3), ("E", 2)])
     sig_s = Signature([("S", 3), ("U", 1)])
     three = Structure(
