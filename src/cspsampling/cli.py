@@ -121,6 +121,7 @@ def _cmd_solve(args) -> int:
     if args.json:
         report = {
             "verdict": result.verdict,
+            "method": args.method,
             "witness": witness_labels,
             "sample_index": result.sample_index,
             "timings": {

@@ -17,7 +17,7 @@ from .combinatorics import union_find
 from .model import Signature, Structure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rel:
     symbol: str
     args: tuple[str, ...]
@@ -27,19 +27,19 @@ class Rel:
         object.__setattr__(self, "args", tuple(args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neq:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bot:
     pass
 

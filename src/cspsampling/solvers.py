@@ -490,12 +490,37 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
     through ``support_masks``; the matrix of (y, x) is then the transpose.
     The closure is the unique largest one, whatever the order of revision.
     The GAC seeding removes nothing the closure keeps, since every value of
-    a consistent closure has GAC support. On targets with a ternary
-    near-unanimity polymorphism a consistent outcome implies
-    satisfiability; elsewhere it is a sound filter only. When the matrices
-    and the log2(side) transpose masks of side**2 bits would hold more than
-    ``_MAX_PAIR_BITS`` bits in all, SolverError is raised before any is
-    built.
+    a consistent closure has GAC support.
+
+    The closure runs only on the instance's core. Two variables are
+    neighbours when they share an atom. After the GAC fixpoint, a variable v
+    with at most one neighbour u among those left is stripped, provided each
+    of u's rows of the seeded (u, v) matrix, which holds all the atoms on
+    {u, v} together, is nonempty (GAC gives this when there is one atom);
+    this repeats until no variable goes. Only the core's pairs are seeded,
+    and fewer than 3 core variables leave no third, so their seeded pairs
+    decide. The verdict is the same. A stripped v lies in no triple or wider
+    atom, since each variable of one keeps two neighbours while the atom's
+    variables are all left. Extend the core's closure P to v: (u, v) keeps
+    its seeded pairs whose u-value has a row in P, and (x, v) is P(x, u)
+    composed with (u, v). Every (2,3) condition holds there: each u-value
+    keeps a partner in v by the row check, and a wide atom on x checked at
+    (x, v) is covered by the check P passed at (x, u). So the extension lies
+    inside the whole closure, the largest consistent network, whose
+    restriction to the core lies inside P: a pair empties in one iff it does
+    in the other. Without the row check this fails: with D = disequality on
+    {0, 1, 2}, U = {1, 2}, E = identity and
+    F = {(0, 1), (1, 0), (1, 1), (2, 2)}, the instance U(x), U(y), D(x, y),
+    D(x, u), D(y, u), E(u, v), F(u, v) passes GAC and the closure refutes
+    it, but only through v. Arc-consistent tree-shaped networks are
+    globally consistent (Freuder, J. ACM 1982); this is that rule inside
+    the closure.
+
+    On targets with a ternary near-unanimity polymorphism a consistent
+    outcome implies satisfiability; elsewhere it is a sound filter only.
+    When the matrices and the log2(side) transpose masks of side**2 bits
+    would hold more than ``_MAX_PAIR_BITS`` bits in all, SolverError is
+    raised before any is built.
     """
     atoms = _relation_atoms(inst, target, "(2,3)-consistency")
     if atoms is None:
@@ -517,19 +542,50 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
     cand, arcs, _, atoms_of = fixpoint
     values = {u: list(mask_bits(cand[u])) for u in variables}
     spread = {u: sum(1 << a * side for a in values[u]) for u in variables}
-    # pair[(u, w)] has bit a * side + b while u = a, w = b is still a pair
-    pair = {
-        (u, w): spread[u] * cand[w]
-        for u in variables
-        for w in variables
-        if u != w
-    }
+    arcs_on: dict[tuple[str, str], list] = {}  # by (watched, affected)
     for affected, watched, arc in arcs:
-        pair[(watched, affected)] &= sum(
-            arc.partners(a) << a * side for a in values[watched]
-        )
+        arcs_on.setdefault((watched, affected), []).append(arc)
+
+    def seeded(u: str, w: str) -> int:
+        """The pairs of (u, w) within the GAC masks and the atoms on {u, w}."""
+        matrix = spread[u] * cand[w]
+        for arc in arcs_on.get((u, w), ()):
+            matrix &= sum(arc.partners(a) << a * side for a in values[u])
+        return matrix
+
+    stride = _repeat(1, side, size)  # bit a * side for every row a
+    near: dict[str, set[str]] = {v: set() for v in variables}  # the variables sharing an atom
+    for atom in atoms:
+        for v in atom.args:
+            near[v].update(atom.args)
+    for v in variables:
+        near[v].discard(v)
+    core = dict.fromkeys(variables)
+    leaves = list(variables)
+    while leaves:
+        v = leaves.pop()
+        if v not in core or len(near[v]) > 1:
+            continue
+        if near[v]:
+            (u,) = near[v]
+            if len(arcs_on[(u, v)]) > 1:  # GAC gives every value of u a partner in one atom
+                rows_of_u = seeded(u, v)
+                shift = side
+                while shift > 1:  # fold each row onto its first bit
+                    shift >>= 1
+                    rows_of_u |= rows_of_u >> shift
+                if rows_of_u & stride != spread[u]:  # a value of u has no partner in v
+                    continue
+            near[u].discard(v)
+            leaves.append(u)
+        del core[v]
+    variables = list(core)
+    # pair[(u, w)] has bit a * side + b while u = a, w = b is still a pair
+    pair = {(u, w): seeded(u, w) for u in variables for w in variables if u != w}
     if not all(pair.values()):
         return False
+    if len(variables) < 3:
+        return True
     triples: dict[frozenset[str], list[Rel]] = {}
     for atom in atoms:
         if len(set(atom.args)) == 3:
@@ -539,7 +595,6 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         for v in variables
     }
     row_full = (1 << side) - 1
-    stride = _repeat(1, side, size)  # bit a * side for every row a
     swaps = _transpose_swaps(side)
 
     def rows(matrix: int) -> list[int]:

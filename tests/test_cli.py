@@ -65,10 +65,20 @@ def test_solve_json_report(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out)
+    assert set(report) == {"verdict", "method", "witness", "sample_index", "timings"}
     assert report["verdict"] == "satisfiable"
+    assert report["method"] == "hom"
     assert set(report["timings"]) == {"parse_s", "generate_s", "solve_s", "total_s"}
     assert report["witness"]["x"]
     assert report["sample_index"] == 0
+    for method in ("ac", "nu"):
+        code, out, _ = run(
+            capsys, "solve", "--theory", THEORY, "--instance", str(inst), "--json",
+            "--method", method,
+        )
+        report = json.loads(out)
+        assert (code, report["verdict"], report["method"]) == (0, "satisfiable", method)
+        assert report["witness"] is None
 
 
 def test_solve_methods_agree_and_warn(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -21,6 +24,22 @@ SIG = Signature([("E", 2), ("lt", 2)])
 
 def inst(*atoms, declared=()):
     return Instance.of(SIG, atoms, declared)
+
+
+def test_atoms_and_instances_survive_pickle_deep_copy_and_hashing():
+    atoms = (Rel("E", ["x", "y"]), Eq("x", "z"), Neq("y", "z"), BOT)
+    for atom in atoms:
+        assert not hasattr(atom, "__dict__")  # slotted
+        for field in dataclasses.fields(atom):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(atom, field.name, None)
+        for twin in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom)):
+            assert type(twin) is type(atom) and twin == atom and hash(twin) == hash(atom)
+    assert atoms[0].args == ("x", "y")
+    for instance in (inst(*atoms[:3], declared=("w",)), inst(BOT)):
+        for twin in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance)):
+            assert twin == instance and hash(twin) == hash(instance)
+            assert twin.variables == instance.variables and twin.atoms == instance.atoms
 
 
 def test_variable_order_is_first_occurrence_then_declared():

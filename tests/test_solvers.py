@@ -407,6 +407,61 @@ def test_establish_23_on_triple_and_wide_atoms():
     assert refuted > 0  # the pair closure prunes beyond arc consistency
 
 
+def test_establish_23_strips_only_the_leaves_that_cannot_decide_it():
+    # each arc passes GAC, but u = 0 has no partner in v under E and F together
+    sig = Signature([("D", 2), ("U", 1), ("E", 2), ("F", 2)])
+    target = Structure(sig, 3, {
+        "D": {(a, b) for a in range(3) for b in range(3) if a != b},
+        "U": {(1,), (2,)},
+        "E": {(a, a) for a in range(3)},
+        "F": {(0, 1), (1, 0), (1, 1), (2, 2)},
+    })
+    joint = Instance.of(sig, [
+        Rel("U", ("x",)), Rel("U", ("y",)), Rel("D", ("x", "y")), Rel("D", ("x", "u")),
+        Rel("D", ("y", "u")), Rel("E", ("u", "v")), Rel("F", ("u", "v")),
+    ])
+    # K3 over the 2-element disequality, with a pendant variable
+    pendant_k3 = Instance.of(
+        TWO_COLORING.signature,
+        [Rel("E", pair) for pair in (("a", "b"), ("b", "c"), ("c", "a"), ("c", "p"))],
+    )
+    for inst, target in ((joint, target), (pendant_k3, TWO_COLORING)):
+        assert cs.arc_consistency(inst, target) is not None
+        assert not cs.establish_23_consistency(inst, target)
+        assert not helpers.reference_23_consistency(inst, target)
+
+    # pendant trees hung on cliques of triple and 4-ary atoms, some with
+    # binary atoms inside
+    sig = Signature([("T", 3), ("Q", 4), ("E", 2), ("F", 2)])
+    rng = random.Random(2110)
+    refuted = 0
+    for _ in range(400):
+        size = rng.randint(2, 3)
+        target = Structure(sig, size, {
+            name: {tuple(rng.randrange(size) for _ in range(arity))
+                   for _ in range(rng.randint(1, 2 * size ** min(arity, 2)))}
+            for name, arity in sig
+        })
+        clique = ["x", "y", "z", "w"][: rng.randint(3, 4)]
+        atoms = [
+            Rel("Q", rng.sample(clique, 4)) if len(clique) == 4 and rng.random() < 0.5
+            else Rel("T", rng.sample(clique, 3))
+            for _ in range(rng.randint(1, 2))
+        ]
+        atoms += [Rel(rng.choice(("E", "F")), rng.sample(clique, 2)) for _ in range(rng.randint(0, 2))]
+        hung = list(clique)
+        for i in range(rng.randint(1, 3)):
+            u, v = rng.choice(hung), f"p{i}"
+            hung.append(v)
+            for _ in range(rng.randint(1, 2)):  # two atoms on a pair must hold together
+                atoms.append(Rel(rng.choice(("E", "F")), (u, v)[:: rng.choice((1, -1))]))
+        inst = Instance.of(sig, atoms)
+        nu = cs.establish_23_consistency(inst, target)
+        assert nu == helpers.reference_23_consistency(inst, target), (inst.atoms, target)
+        refuted += not nu and cs.arc_consistency(inst, target) is not None
+    assert refuted > 5  # the closure prunes beyond arc consistency here
+
+
 def test_pair_matrix_transpose_matches_a_naive_transpose():
     from cspsampling import solvers
 
@@ -482,7 +537,8 @@ def _reference_corpus():
     ternary and a 4-ary relation, products of random factors with a 4-ary
     relation, whose wide atoms take the exact Hall check, alternating-cycles
     samples at levels 1-8 (2, 8, 20 and 36 elements, each padded to its own
-    matrix side) and 1-element targets (side 1)."""
+    matrix side) under random, tree-shaped and unicyclic instances, and
+    1-element targets (side 1)."""
     import cspsampling.sampling as sampling
 
     rng = random.Random(20261018)
@@ -537,6 +593,16 @@ def _reference_corpus():
                 for roll in (rng.random() for _ in range(level))
             ]
             yield Instance.of(cycles.signature, atoms, declared=vs), cycles.generate(level)[0]
+    for level in range(2, 9):
+        vs = [f"x{i}" for i in range(level)]
+        for extra in (0, 1):  # a tree; then one more edge, closing a cycle or doubling an edge
+            for _ in range(4):
+                edges = [(rng.choice(vs[:i]), v) for i, v in enumerate(vs) if i]
+                edges += [tuple(rng.sample(vs, 2)) for _ in range(extra)]
+                atoms = [
+                    Rel(rng.choice(("E1", "E2")), edge[:: rng.choice((1, -1))]) for edge in edges
+                ]
+                yield Instance.of(cycles.signature, atoms, declared=vs), cycles.generate(level)[0]
     for relations in ({"T": {(0, 0, 0)}, "E": {(0, 0)}}, {"Q": {(0, 0, 0, 0)}, "E": {(0, 0)}}):
         point = Structure(sig, 1, relations)
         for _ in range(8):
