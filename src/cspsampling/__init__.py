@@ -36,7 +36,6 @@ from .model import (
     SignatureError,
     Structure,
     disjoint_union,
-    image_structure,
     is_homomorphism,
 )
 from .polymorphisms import (
@@ -111,7 +110,6 @@ __all__ = [
     "family_size",
     "find_totally_symmetric_polymorphism",
     "hom_search",
-    "image_structure",
     "is_homomorphism",
     "is_near_unanimity",
     "is_totally_symmetric",

@@ -210,11 +210,8 @@ def successor_sampling(name: str = "successor") -> SampleFamily:
         contracted, _ = contract_equalities(inst)
         if contracted.has_bot():
             return False
-        edges, find = _merge_functional(
-            contracted, {SUCC: ("functional", "injective")}
-        )
-        succ_edges = edges[SUCC]
-        if _has_directed_cycle(succ_edges):
+        edges, find = _merge_functional(contracted, (SUCC,))
+        if _has_directed_cycle(edges[SUCC]):
             return False
         return not _neq_violated(contracted, find)
 
@@ -259,10 +256,7 @@ def alternating_cycles_sampling(name: str = "alternating-cycles") -> SampleFamil
         contracted, _ = contract_equalities(inst)
         if contracted.has_bot():
             return False
-        edges, find = _merge_functional(
-            contracted,
-            {E1: ("functional", "injective"), E2: ("functional", "injective")},
-        )
+        edges, find = _merge_functional(contracted, (E1, E2))
         side_a: set[str] = set()  # E1-out or E2-in
         side_b: set[str] = set()  # E1-in or E2-out
         for u, v in edges[E1]:
@@ -335,9 +329,7 @@ def succ2col_sampling(name: str = "succ-2col") -> SampleFamily:
         contracted, _ = contract_equalities(inst)
         if contracted.has_bot():
             return False
-        edges, find = _merge_functional(
-            contracted, {SUCC: ("functional", "injective")}
-        )
+        edges, find = _merge_functional(contracted, (SUCC,))
         if _has_directed_cycle(edges[SUCC]):
             return False
         colors: dict[str, set[str]] = {}
@@ -436,45 +428,38 @@ def marked_colors_sampling(name: str = "marked-colors") -> SampleFamily:
 
 
 def _merge_functional(
-    contracted: Instance, modes: dict[str, tuple[str, ...]]
+    contracted: Instance, symbols: tuple[str, ...]
 ) -> tuple[dict[str, set[tuple[str, str]]], callable]:
-    """Union-find closure under functionality/injectivity of binary relations.
+    """Union-find closure of binary relations that are functional and
+    injective (partial bijections).
 
-    For a functional symbol, two out-neighbors of one variable merge; for an
-    injective one, two in-neighbors merge. Returns the canonical edge sets
-    and the find function. Never fails by itself (callers add their own
-    rejection rules).
+    For each symbol, two out-neighbors of one variable merge, and so do two
+    in-neighbors. Returns the canonical edge sets and the find function.
+    Never fails by itself (callers add their own rejection rules).
     """
     find, union = union_find(contracted.variables)
-    raw_edges: dict[str, list[tuple[str, str]]] = {s: [] for s in modes}
+    raw_edges: dict[str, list[tuple[str, str]]] = {s: [] for s in symbols}
     for atom in contracted.atoms:
-        if isinstance(atom, Rel) and atom.symbol in modes:
+        if isinstance(atom, Rel) and atom.symbol in raw_edges:
             raw_edges[atom.symbol].append((atom.args[0], atom.args[1]))
 
     changed = True
     while changed:
         changed = False
-        for symbol, kinds in modes.items():
+        for symbol in symbols:
             canon = {(find(u), find(v)) for u, v in raw_edges[symbol]}
-            if "functional" in kinds:
-                out: dict[str, str] = {}
-                for u, v in canon:
-                    if u in out and out[u] != v:
-                        union(v, out[u])
+            # merge u's out-neighbors, then (edges reversed) its in-neighbors
+            for pairs in (canon, [(v, u) for u, v in canon]):
+                first: dict[str, str] = {}
+                for u, v in pairs:
+                    if u in first and first[u] != v:
+                        union(v, first[u])
                         changed = True
                     else:
-                        out[u] = v
-            if "injective" in kinds:
-                inn: dict[str, str] = {}
-                for u, v in canon:
-                    if v in inn and inn[v] != u:
-                        union(u, inn[v])
-                        changed = True
-                    else:
-                        inn[v] = u
+                        first[u] = v
     edges = {
         symbol: {(find(u), find(v)) for u, v in raw_edges[symbol]}
-        for symbol in modes
+        for symbol in symbols
     }
     return edges, find
 

@@ -11,7 +11,7 @@ unsatisfiability sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import union_find
 from .model import Signature, Structure
@@ -102,14 +102,18 @@ def validate(inst: Instance) -> str:
     arities = dict(inst.signature)
     for atom in inst.atoms:
         if isinstance(atom, Rel):
-            arity = arities.get(atom.symbol)
-            if arity is None:
-                raise InstanceError(f"unknown relation symbol {atom.symbol!r}")
-            if len(atom.args) != arity:
-                raise InstanceError(
-                    f"{atom.symbol} expects {arity} arguments, got {len(atom.args)}"
-                )
+            check_atom(atom, arities)
     return "contains-bot" if inst.has_bot() else "well-formed"
+
+
+def check_atom(atom: Rel, arities: Mapping[str, int]) -> None:
+    """Raise InstanceError unless ``arities`` has the atom's symbol, with
+    as many places as the atom has arguments."""
+    arity = arities.get(atom.symbol)
+    if arity is None:
+        raise InstanceError(f"unknown relation symbol {atom.symbol!r}")
+    if len(atom.args) != arity:
+        raise InstanceError(f"{atom.symbol} expects {arity} arguments, got {len(atom.args)}")
 
 
 def contract_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:

@@ -1,8 +1,9 @@
 """Text formats: structures, instances, operation tables, theory specs.
 
-All printers are canonical (signature order, sorted tuples, LF endings), so
-parse(print(x)) == x and a second print is byte-identical. Structure files
-are deliberately line-oriented and diffable:
+All printers are canonical (signature order, sorted tuples, LF endings) and
+raise ValueError on any name, symbol, label or variable their parser would
+not read back, so parse(print(x)) == x and a second print is byte-identical.
+Structure files are deliberately line-oriented and diffable:
 
     structure <name> over <sym/arity> <sym/arity> ...
     domain <k>
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import families, qf
-from .formulas import BOT, Atom, Eq, Instance, Neq, Rel, atom_variables, validate
+from .formulas import BOT, Atom, Eq, Instance, Neq, Rel, atom_variables, check_atom
 from .model import Signature, SignatureError, Structure
 from .polymorphisms import OperationTable
 from .sampling import (
@@ -49,6 +50,7 @@ from .sampling import (
 )
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+SYMBOL = rf"{IDENT}|<"  # a structure file's relation symbols
 
 
 class ParseError(ValueError):
@@ -93,20 +95,26 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
+def _refuse(bad: list[str]) -> None:
+    """Raise ValueError naming each text a printer cannot write so that its
+    parser reads it back unchanged."""
+    if bad:
+        raise ValueError("cannot be written so that it reads back: " + ", ".join(bad))
+
+
 # --- structures ---------------------------------------------------------------
 
 
 def print_structure(s: Structure, name: str = "structure") -> str:
-    lines = [
-        "structure "
-        + name
-        + " over "
-        + " ".join(f"{sym}/{arity}" for sym, arity in s.signature)
-    ]
-    lines.append(f"domain {s.domain_size}")
-    if s.labels is not None:
-        for i, text in enumerate(s.labels):
-            lines.append(f"label {i} {text}")
+    texts = [("name", name, IDENT)] + [("symbol", sym, SYMBOL) for sym, _ in s.signature]
+    bad = [f"{kind} {text!r}" for kind, text, form in texts if not re.fullmatch(form, text)]
+    for i, text in enumerate(s.labels or ()):
+        if text.splitlines() != [text] or _strip_comment(text).strip() != text:
+            bad.append(f"label {i} {text!r}")
+    _refuse(bad)
+    symbols = " ".join(f"{sym}/{arity}" for sym, arity in s.signature)
+    lines = [f"structure {name} over {symbols}", f"domain {s.domain_size}"]
+    lines.extend(f"label {i} {text}" for i, text in enumerate(s.labels or ()))
     for sym, _ in s.signature:
         body = " ".join(
             "(" + ",".join(str(e) for e in t) + ")" for t in s.sorted_tuples(sym)
@@ -147,7 +155,7 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
     name = m.group(1)
     symbols = []
     for part in m.group(2).split():
-        sm = re.fullmatch(rf"({IDENT}|<)/(\d+)", part)
+        sm = re.fullmatch(rf"({SYMBOL})/(\d+)", part)
         if not sm:
             raise ParseError(f"bad symbol declaration {part!r}", no)
         symbols.append((sm.group(1), _int(sm.group(2), no)))
@@ -176,7 +184,7 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
                 raise ParseError(f"repeated label for element {element}", no)
             labels[element] = m.group(2)
         elif line.startswith("rel"):
-            m = re.fullmatch(rf"rel\s+({IDENT}|<):\s*(.*)", line)
+            m = re.fullmatch(rf"rel\s+({SYMBOL}):\s*(.*)", line)
             if not m:
                 raise ParseError("expected 'rel <R>: (a,b) ...'", no)
             sym = m.group(1)
@@ -220,6 +228,7 @@ _VARS_RE = re.compile(rf"vars\s+({IDENT}(\s*,\s*{IDENT})*)\s*$")
 
 
 def parse_instance(text: str, signature: Signature) -> Instance:
+    arities = dict(signature)
     atoms: list[Atom] = []
     declared: list[str] = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -241,6 +250,10 @@ def parse_instance(text: str, signature: Signature) -> Instance:
                 if not all(re.fullmatch(IDENT, a) for a in args):
                     raise ParseError(f"bad argument list in {chunk!r}", no)
                 atoms.append(Rel(m.group(1), args))
+                try:
+                    check_atom(atoms[-1], arities)
+                except ValueError as exc:
+                    raise ParseError(str(exc), no) from None
                 continue
             m = _NEQ_RE.fullmatch(chunk)
             if m:
@@ -251,15 +264,13 @@ def parse_instance(text: str, signature: Signature) -> Instance:
                 atoms.append(Eq(m.group(1), m.group(2)))
                 continue
             raise ParseError(f"cannot parse atom {chunk!r}", no)
-    inst = Instance.of(signature, atoms, declared)
-    try:
-        validate(inst)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return inst
+    return Instance.of(signature, atoms, declared)
 
 
 def print_instance(inst: Instance) -> str:
+    symbols = dict.fromkeys(a.symbol for a in inst.atoms if isinstance(a, Rel))
+    texts = [("variable", v) for v in inst.variables] + [("symbol", sym) for sym in symbols]
+    _refuse([f"{kind} {text!r}" for kind, text in texts if not re.fullmatch(IDENT, text)])
     lines = []
     occurring = {v for a in inst.atoms for v in atom_variables(a)}
     extras = [v for v in inst.variables if v not in occurring]
@@ -495,15 +506,10 @@ def _parse_explicit(toks: qf.TokenStream, name: str) -> SampleFamily:
             break
     toks.expect(";")
     signature = Signature(symbols)
-    equality_matching = False
-    no_pp_algebraicity = False
-    while toks.peek().value in ("equality_matching", "no_pp_algebraicity"):
-        flag = toks.next().value
+    flags, given = ("equality_matching", "no_pp_algebraicity"), set()
+    while toks.peek().value in flags:
+        given.add(toks.next().value)
         toks.expect(";")
-        if flag == "equality_matching":
-            equality_matching = True
-        else:
-            no_pp_algebraicity = True
     structures = []
     while not toks.try_eat("}"):
         tok = toks.expect("sample")
@@ -536,10 +542,4 @@ def _parse_explicit(toks: qf.TokenStream, name: str) -> SampleFamily:
             structures.append(Structure(signature, domain_size, relations))
         except ValueError as exc:
             raise toks.error(str(exc), tok) from None
-    return explicit_sampling(
-        signature,
-        structures,
-        equality_matching=equality_matching,
-        no_pp_algebraicity=no_pp_algebraicity,
-        name=name,
-    )
+    return explicit_sampling(signature, structures, *(f in given for f in flags), name=name)

@@ -253,7 +253,7 @@ class Signature:
         return Signature(self.symbols + other.symbols)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Structure:
     """A finite relational structure: dense integer domain plus relations.
 
@@ -308,16 +308,6 @@ class Structure:
         object.__setattr__(self, "labels", labels)
         # the solvers' plans, filled lazily; not part of the value
         object.__setattr__(self, "_indexes", {})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Structure):
-            return NotImplemented
-        return (
-            self.signature == other.signature
-            and self.domain_size == other.domain_size
-            and self.relations == other.relations
-            and self.labels == other.labels
-        )
 
     def __repr__(self) -> str:
         rels = ", ".join(f"{n}:{len(ts)}" for n, ts in self.relations.items())
@@ -448,28 +438,3 @@ def is_homomorphism(
                 return False
     return True
 
-
-def image_structure(
-    mapping: Mapping[int, int], source: Structure, target: Structure
-) -> Structure:
-    """Substructure of ``target`` induced on the image of ``mapping``.
-
-    The input map must be a homomorphism from ``source`` to ``target``.
-    """
-    if not is_homomorphism(mapping, source, target):
-        raise ValueError("map is not a homomorphism")
-    image = sorted({mapping[e] for e in range(source.domain_size)})
-    renumber = {old: new for new, old in enumerate(image)}
-    keep = set(image)
-    relations = {
-        name: {
-            tuple(renumber[e] for e in t)
-            for t in tuples
-            if all(e in keep for e in t)
-        }
-        for name, tuples in target.relations.items()
-    }
-    labels = None
-    if target.labels is not None:
-        labels = [target.labels[old] for old in image]
-    return Structure(target.signature, len(image), relations, labels)

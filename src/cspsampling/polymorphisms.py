@@ -22,7 +22,7 @@ class SearchCapExceeded(ValueError):
     """The structure or arity is too large for exhaustive search."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OperationTable:
     """An explicit k-ary operation on a domain of dense integer ids."""
 
@@ -46,15 +46,6 @@ class OperationTable:
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "table", dict(table))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperationTable):
-            return NotImplemented
-        return (
-            self.domain_size == other.domain_size
-            and self.arity == other.arity
-            and self.table == other.table
-        )
 
     def apply(self, args: Sequence[int]) -> int:
         return self.table[tuple(args)]

@@ -89,9 +89,7 @@ def family_size(family: SampleFamily, n: int) -> int:
 
 def explicit_sampling(
     signature: Signature,
-    samples: Callable[[int], Sequence[Structure]]
-    | Mapping[int, Sequence[Structure]]
-    | Sequence[Structure],
+    samples: Callable[[int], Sequence[Structure]] | Sequence[Structure],
     equality_matching: bool = False,
     no_pp_algebraicity: bool = False,
     decider: Optional[Decider] = None,
@@ -99,19 +97,11 @@ def explicit_sampling(
 ) -> SampleFamily:
     """Wrap user-given structures verbatim as a sample family.
 
-    ``samples`` may be a function of n, a mapping from n, or a constant
-    list used for every n (the finite-model case).
+    ``samples`` may be a function of n, or a constant list used for every
+    n (the finite-model case).
     """
     if callable(samples):
         builder = samples
-    elif isinstance(samples, Mapping):
-        table = {int(k): tuple(v) for k, v in samples.items()}
-
-        def builder(n: int) -> Sequence[Structure]:
-            if n not in table:
-                raise SamplingError(f"{name}: no samples defined for n={n}")
-            return table[n]
-
     else:
         constant = tuple(samples)
 

@@ -630,21 +630,10 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         return dropped
 
     pair_keys = list(itertools.combinations(variables, 2))
-    plans: dict[tuple[str, str], tuple] = {}  # per pair, built at its first dequeue
-    nearby: dict[tuple[str, str], list] = {}  # per pair, built at its first change
-
-    def pair_plan(key: tuple[str, str]) -> tuple:
-        """A pair's thirds, the free ones, the bound ones with their triple
-        atoms, and the wider atoms on either side."""
-        x, y = key
-        thirds = [z for z in variables if z != x and z != y]
-        free, bound = thirds, []
-        if triples:
-            free = [z for z in thirds if frozenset((x, y, z)) not in triples]
-            bound = [(z, triples[frozenset((x, y, z))]) for z in thirds if z not in free]
-        plan = plans[key] = (thirds, free, bound, list(dict.fromkeys(wide_of[x] + wide_of[y])))
-        return plan
-
+    pairs_of: dict[str, list] = {v: [] for v in variables}  # the pairs holding each variable
+    for key in pair_keys:
+        for v in key:
+            pairs_of[v].append(key)
     queue: deque[tuple[str, str]] = deque(pair_keys)
     queued = set(queue)
     while queue:
@@ -652,7 +641,14 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
         queued.discard(key)
         x, y = key
         old = new = pair[key]
-        thirds, free, bound, wide = plans.get(key) or pair_plan(key)
+        # the thirds, the free ones, the bound ones with their triple atoms
+        thirds = [z for z in variables if z != x and z != y]
+        free, bound = thirds, []
+        if triples:
+            found = [(z, triples.get(frozenset((x, y, z)))) for z in thirds]
+            free = [z for z, extra in found if extra is None]
+            bound = [(z, extra) for z, extra in found if extra is not None]
+        wide = list(dict.fromkeys(wide_of[x] + wide_of[y]))
         # (a, b) keeps a partner on z iff some w paired with a has b as a partner
         for z in free:
             if not new:
@@ -673,13 +669,8 @@ def establish_23_consistency(inst: Instance, target: Structure) -> bool:
                 return False
             pair[key] = new
             pair[(y, x)] = _transpose(new, swaps)
-            around = nearby.get(key)
-            if around is None:  # the other pairs sharing a variable, in queue order
-                around = nearby[key] = [
-                    other for other in pair_keys if other != key and (x in other or y in other)
-                ]
-            for other in around:
-                if other not in queued:
+            for other in pairs_of[x] + pairs_of[y]:
+                if other != key and other not in queued:
                     queue.append(other)
                     queued.add(other)
     return True

@@ -139,6 +139,21 @@ def rank_color_oracle(inst: cs.Instance) -> bool:
     return extend(0)
 
 
+def image_structure(mapping, source: cs.Structure, target: cs.Structure) -> cs.Structure:
+    """Substructure of ``target`` induced on the image of ``mapping``, which
+    must be a homomorphism from ``source`` to ``target``."""
+    if not cs.is_homomorphism(mapping, source, target):
+        raise ValueError("map is not a homomorphism")
+    image = sorted({mapping[e] for e in range(source.domain_size)})
+    renumber = {old: new for new, old in enumerate(image)}
+    relations = {
+        name: {tuple(map(renumber.get, t)) for t in tuples if all(e in renumber for e in t)}
+        for name, tuples in target.relations.items()
+    }
+    labels = None if target.labels is None else [target.labels[old] for old in image]
+    return cs.Structure(target.signature, len(image), relations, labels)
+
+
 def materialized_product(b1: cs.Structure, b2: cs.Structure) -> cs.Structure:
     """The product sample of two factor structures as a plain Structure.
 

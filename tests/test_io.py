@@ -275,3 +275,103 @@ def test_comments_start_outside_quotes():
         'structure s over E/1\ndomain 2\nlabel 0 a "#b" c\nlabel 1 x #c\nrel E:\n'
     )
     assert s.labels == ('a "#b" c', "x")
+
+
+def test_printers_refuse_what_their_parsers_cannot_read_back():
+    sig = Signature([("E", 2)])
+    for label in ("a #b", " x", "x ", "", "a\nb", "a\rb", "#a"):
+        s = Structure(sig, 2, {"E": {(0, 1)}}, ["ok", label])
+        with pytest.raises(ValueError) as err:
+            io.print_structure(s)
+        assert str(err.value) == f"cannot be written so that it reads back: label 1 {label!r}"
+    for label in ("a#b", '"a #b"', 'a" #b', "a b", "(1,P1#1)"):
+        s = Structure(sig, 1, {"E": {(0, 0)}}, [label])
+        assert io.parse_structure(io.print_structure(s))[1] == s
+    odd = Structure(Signature([("a b", 1), ("<", 2)]), 1, {}, [" x"])
+    with pytest.raises(ValueError) as err:
+        io.print_structure(odd, name="s 1")
+    assert str(err.value) == (
+        "cannot be written so that it reads back: name 's 1', symbol 'a b', label 0 ' x'"
+    )
+    inst = Instance.of(
+        Signature([("a b", 1), ("E", 2)]), [Rel("a b", ("x",)), Rel("E", ("a b", "z-1"))]
+    )
+    with pytest.raises(ValueError) as err:
+        io.print_instance(inst)
+    assert str(err.value) == (
+        "cannot be written so that it reads back: "
+        "variable 'a b', variable 'z-1', symbol 'a b'"
+    )
+
+
+def _structure(body):
+    return io.parse_structure("structure s over E/2\n" + body)
+
+
+def _instance(text):
+    return io.parse_instance(text, Signature([("lt", 2)]))
+
+
+def _spec_family(text, name=None):
+    return io.parse_theory_spec(text).family(name)
+
+
+_EXPLICIT = "theory E = explicit { sig U/1; sample { %s } }"
+
+# (parser, input, message, line) for each ParseError the parsers raise; the
+# line is None where the error belongs to no line
+PARSE_ERRORS = [
+    (io.parse_structure, "", "expected exactly one structure, found 0", None),
+    (io.parse_structure, "structure a over\ndomain 0\n\nstructure b over\ndomain 0",
+     "expected exactly one structure, found 2", None),
+    (io.parse_structure, "structure s with E/2\ndomain 1",
+     "expected 'structure <name> over <sym/arity> ...'", 1),
+    (_structure, "domain one", "expected 'domain <k>'", 2),
+    (_structure, "domain 1\nlabel x", "expected 'label <id> <text>'", 3),
+    (_structure, "domain 1\nrel E (0,0)", "expected 'rel <R>: (a,b) ...'", 3),
+    (_structure, "domain 1\nrel E: 0,0", "bad tuple '0,0'", 3),
+    (_structure, "domain 1\nrel E: (0,x)", "bad tuple '(0,x)'", 3),
+    (_structure, "domain 1\nedge (0,0)", "unexpected line 'edge (0,0)'", 3),
+    (_structure, "domain 2\nlabel 0 a\nrel E:", "labels must cover elements 0..domain-1", 1),
+    (_instance, "lt(x,y)\nlt(x, 1)", "bad argument list in 'lt(x, 1)'", 2),
+    (_instance, "lt(x,y)\nlt(x)", "lt expects 2 arguments, got 1", 2),
+    (_instance, "lt(x,y)\ngt(x,y)", "unknown relation symbol 'gt'", 2),
+    (io.parse_operation_table, "# nothing\n", "empty operation table", None),
+    (io.parse_operation_table, "optable domain 2\n0 1",
+     "expected 'optable domain <m> arity <k>'", 1),
+    (_spec_family, "# nothing\n", "the theory file defines no theories", None),
+    (lambda text: _spec_family(text, "T"), "theory S = successor", "theory 'T' is not defined",
+     None),
+    (io.parse_theory_spec, "theory S = successor\ntheory S = successor",
+     "theory 'S' defined twice", 2),
+    (io.parse_theory_spec, _EXPLICIT % "domain 1;" + "\ntheory F = from_decider(E, 1)",
+     "theory 'E' has no reference decider", 2),
+    (io.parse_theory_spec, "theory P = partition(1) { rel lt/2 = base; }",
+     "'base' is only available inside dense_order", 1),
+    (io.parse_theory_spec, "theory O = dense_order { rel lt/3 = base; }",
+     "'base' denotes the binary order", 1),
+    (io.parse_theory_spec, "theory P = partition(1) {\n rel p/1 = part(2); }",
+     "part(2) is out of range", 2),
+    (io.parse_theory_spec, "theory P = partition(2) { rel p/2 = part(1); }",
+     "'part(j)' denotes a unary relation", 1),
+    (io.parse_theory_spec, "theory O = dense_order { rel lt/2 = 5; }",
+     "expected 'base', 'part(j)' or a quoted formula, found '5'", 1),
+    (io.parse_theory_spec, _EXPLICIT % "size 1;", "expected 'domain' or 'rel', found 'size'", 1),
+    (io.parse_theory_spec, _EXPLICIT % "rel U: (0);", "sample block missing 'domain'", 1),
+    (io.parse_theory_spec, _EXPLICIT % "domain 1; rel U: (1);",
+     "element 1 out of range in U(1,)", 1),
+]
+
+
+def test_parse_errors_name_their_message_and_line():
+    for parse, text, message, line in PARSE_ERRORS:
+        with pytest.raises(io.ParseError) as err:
+            parse(text)
+        assert err.value.line == line, text
+        assert str(err.value) == str(io.ParseError(message, line, err.value.column)), text
+
+
+def test_explicit_block_sets_no_pp_algebraicity():
+    spec = "theory E = explicit { sig U/1; no_pp_algebraicity; sample { domain 1; } }"
+    family = io.parse_theory_spec(spec).family()
+    assert family.no_pp_algebraicity and not family.equality_matching

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import conftest as helpers
 import cspsampling as cs
 from cspsampling.model import Signature, SignatureError, Structure
 
@@ -110,10 +111,10 @@ def test_is_homomorphism_errors():
 def test_image_structure_identity_and_collapse():
     sig = Signature([("E", 2)])
     two = Structure(sig, 2, {})
-    collapsed = cs.image_structure({0: 1, 1: 1}, two, two)
+    collapsed = helpers.image_structure({0: 1, 1: 1}, two, two)
     assert collapsed.domain_size == 1
     cycle = Structure(sig, 3, {"E": {(0, 1), (1, 2), (2, 0)}})
-    img = cs.image_structure({0: 0, 1: 1}, edge(0, 1), cycle)
+    img = helpers.image_structure({0: 0, 1: 1}, edge(0, 1), cycle)
     assert img.domain_size == 2
     assert img.relations["E"] == {(0, 1)}
 
@@ -121,7 +122,7 @@ def test_image_structure_identity_and_collapse():
 def test_image_structure_rejects_non_homomorphism():
     point = Structure(Signature([("E", 2)]), 1, {})
     with pytest.raises(ValueError):
-        cs.image_structure({0: 0, 1: 0}, edge(0, 1), point)
+        helpers.image_structure({0: 0, 1: 0}, edge(0, 1), point)
 
 
 def test_image_admits_surjection_back():
@@ -130,7 +131,7 @@ def test_image_admits_surjection_back():
     b1 = family.generate(2)[0]
     mapping = {0: 0, 1: 0, 2: 2, 3: 2}
     if cs.is_homomorphism(mapping, b1, b1):
-        image = cs.image_structure(mapping, b1, b1)
+        image = helpers.image_structure(mapping, b1, b1)
         renumber = {old: new for new, old in enumerate(sorted(set(mapping.values())))}
         onto = {e: renumber[mapping[e]] for e in range(b1.domain_size)}
         assert cs.is_homomorphism(onto, b1, image)
@@ -139,8 +140,6 @@ def test_image_admits_surjection_back():
 def _lex_fusion(n):
     """A scheduling model fragment: pairs (rank, robot) ordered lexicographically,
     with the first-of-two relation evaluated over that order."""
-    import conftest as helpers
-
     m = 2 * n
     pairs = [(a, b) for a in range(n) for b in range(m)]
     idx = {p: i for i, p in enumerate(pairs)}
@@ -168,11 +167,28 @@ def test_image_of_product_sample_keeps_min_polymorphism(robot_theory):
     m2 = 2 * n
     mapping = {a * m2 + b: idx[(a, b)] for a in range(n) for b in range(m2)}
     assert cs.is_homomorphism(mapping, sample, fusion)
-    image = cs.image_structure(mapping, sample, fusion)
+    image = helpers.image_structure(mapping, sample, fusion)
     for k in (1, 2, 3):
         f = cs.min_operation(image.domain_size, k)
         assert cs.check_polymorphism(f, image)
         assert cs.is_totally_symmetric(f)
+
+
+def test_structures_and_operation_tables_compare_by_value(robot_theory):
+    (sample,) = robot_theory.generate(2)
+    listed = {name: set(rel) for name, rel in sample.relations.items()}
+    same = Structure(sample.signature, sample.domain_size, listed, sample.labels)
+    assert type(same.relations["lt"]) is not type(sample.relations["lt"])
+    assert sample == same and same == sample
+    relabelled = [f"e{i}" for i in range(sample.domain_size)]
+    assert sample != Structure(sample.signature, sample.domain_size, listed, relabelled)
+    flip = cs.OperationTable(2, 1, {(0,): 1, (1,): 0})
+    assert flip == cs.OperationTable(2, 1, {(1,): 0, (0,): 1})
+    assert flip != cs.OperationTable(2, 1, {(0,): 0, (1,): 1})
+    for value, other in ((sample, listed), (flip, flip.table), (flip, sample)):
+        assert (value == other) is False and (other == value) is False
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_indexes_are_consistent_with_relations():
