@@ -164,7 +164,7 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
     except SignatureError as exc:
         raise ParseError(str(exc), no) from None
     domain_size = None
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[str, int]] = {}  # each element's label and its line
     relations: dict[str, set[tuple[int, ...]]] = {}
     for no, line in block[1:]:
         if line.startswith("domain"):
@@ -182,7 +182,7 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
             element = _int(m.group(1), no)
             if element in labels:
                 raise ParseError(f"repeated label for element {element}", no)
-            labels[element] = m.group(2)
+            labels[element] = m.group(2), no
         elif line.startswith("rel"):
             m = re.fullmatch(rf"rel\s+({SYMBOL}):\s*(.*)", line)
             if not m:
@@ -210,8 +210,10 @@ def _parse_structure_block(block: list[tuple[int, str]]) -> tuple[str, Structure
     label_list = None
     if labels:
         if sorted(labels) != list(range(domain_size)):
-            raise ParseError("labels must cover elements 0..domain-1", block[0][0])
-        label_list = [labels[i] for i in range(domain_size)]
+            past = [line for e, (_, line) in labels.items() if e >= domain_size]
+            line = min(past, default=block[0][0])  # a label past the domain, else the header
+            raise ParseError("labels must cover elements 0..domain-1", line)
+        label_list = [labels[i][0] for i in range(domain_size)]
     try:
         return name, Structure(signature, domain_size, relations, label_list)
     except ValueError as exc:
@@ -519,11 +521,15 @@ def _parse_explicit(toks: qf.TokenStream, name: str) -> SampleFamily:
         while not toks.try_eat("}"):
             inner = toks.expect_kind("ident")
             if inner.value == "domain":
+                if domain_size is not None:
+                    raise toks.error("repeated 'domain' line", inner)
                 domain_size = toks.expect_int()
                 _check_domain(domain_size, inner.line)
                 toks.expect(";")
             elif inner.value == "rel":
                 sym = toks.expect_kind("ident").value
+                if sym in relations:
+                    raise toks.error(f"repeated 'rel {sym}' line", inner)
                 toks.expect(":")
                 tuples = set()
                 while toks.try_eat("("):

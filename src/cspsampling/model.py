@@ -9,24 +9,28 @@ concurrent solver runs.
 Solvers make four queries of a relation, and every relation answers them
 itself as a ``RuleRelation``: ``index()``, its projection and diagonal
 masks; ``arc(watched, affected)``, the two-variable arc of one shape and
-direction, whose object answers ``revise`` (narrow the affected mask
-against the watched one) and ``partners`` (the affected values paired with
-one watched value); and ``support_masks``, which revises an atom with three
-or more distinct variables a whole mask at a time (the values each
-variable takes in the tuples within the given masks). A ``ListedRelation``
-is a frozenset of tuples, indexed by one ``scan_index``, with ``TableArc``
-arcs. Other rule relations, such as a product sample's, keep the rule that
-defines them and list a tuple only when a caller iterates them.
-``Structure`` holds relations and labels and passes each query on by name;
-``shaped_masks``, both directions' partner masks of a shape, is a view
-read off the two arcs.
+direction, made once per relation, whose object answers ``revise``
+(narrow the affected mask against the watched one) and ``partners`` (the
+affected values paired with one watched value); and ``support_masks``,
+which revises an atom with three or more distinct variables a whole mask
+at a time (the values each variable takes in the tuples within the given
+masks). ``support_masks`` reads a tuple by its number of distinct values:
+constant tuples are the diagonal, a tuple with two is a tuple of the arc
+of its equality pattern, which the atom's variables fit when each lies in
+one group of it, and only the tuples with three or more are scanned, by
+each kind's ``wide_supports``. A ``ListedRelation`` is a frozenset of
+tuples, indexed by one ``scan_index``, with ``TableArc`` arcs. Other rule
+relations, such as a product sample's, keep the rule that defines them
+and list a tuple only when a caller iterates them. ``Structure`` holds
+relations and labels and passes each query on by name; ``shaped_masks``,
+both directions' partner masks of a shape, is a view read off the two
+arcs.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from abc import abstractmethod
 from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -51,7 +55,7 @@ class TableArc:
 
     __slots__ = ("_partners", "_supports", "_keys", "_by_size", "_domain_size")
 
-    def __init__(self, domain_size: int, to_affected: dict, to_watched: dict, diagonal: int):
+    def __init__(self, rel: RuleRelation, to_affected: dict, to_watched: dict, diagonal: int):
         partners, supports = dict(to_affected), dict(to_watched)
         for v in mask_bits(diagonal):
             partners[v] = partners.get(v, 0) | 1 << v
@@ -59,7 +63,7 @@ class TableArc:
         self._partners, self._supports = partners, supports
         self._keys = sum(1 << v for v in supports)
         self._by_size = tuple(sorted((m.bit_count(), v) for v, m in supports.items()))
-        self._domain_size = domain_size
+        self._domain_size = rel.domain_size
 
     def partners(self, value: int) -> int:
         return self._partners.get(value, 0)
@@ -82,34 +86,111 @@ class RuleRelation(Set):
     """A relation that answers the solver queries itself. ``in``, ``len``
     and iteration are its membership test, count and listing. A
     ``ListedRelation`` holds its tuples; any other kind keeps the rule that
-    defines them and lists a tuple only when a caller iterates it."""
+    defines them and lists a tuple only when a caller iterates it.
+
+    The queries below read ``scan``, which a kind builds as a
+    ``scan_index`` of its tuples, and make arcs of its ``arc_class``; a kind
+    whose scan keeps tuples with three or more distinct values reads them
+    in its ``wide_supports``. A kind without a scan overrides the queries.
+    """
 
     arity: int
     domain_size: int
 
-    @abstractmethod
     def index(self) -> tuple[tuple[int, ...], int]:
         """The mask of the values at each position, and the mask of the
         values v with the constant tuple (v, ..., v)."""
+        return self.scan[:2]
 
-    @abstractmethod
     def arc(self, watched: tuple[int, ...], affected: tuple[int, ...]):
         """Arc revision of a two-variable atom, from the variable on the
         watched positions to the one on the affected positions: an object
-        with ``revise`` and ``partners``. Raises ValueError unless the two
-        groups partition the positions."""
+        with ``revise`` and ``partners``, made once per shape and direction.
+        Raises ValueError unless the two groups partition the positions."""
+        arc = self._arcs.get((watched, affected))
+        if arc is None:
+            parts = arc_partners(self.scan, self.arity, watched, affected)
+            arc = self._arcs[watched, affected] = self.arc_class(self, *parts)
+        return arc
 
-    @abstractmethod
     def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
-        """``Structure.support_masks`` of this relation."""
+        """``Structure.support_masks`` of this relation, read off its scan
+        by the number of distinct values in a tuple.
+
+        A constant tuple (v, ..., v) gives every variable v when v is in
+        every mask: the diagonal. A tuple with two distinct values has one
+        equality pattern, two groups of positions each holding one value,
+        and supports the atom only if the pattern keeps each variable's
+        positions in one group; the variables of a group then share its
+        value. So the tuples of a fitting pattern give one group's
+        variables what the pattern's ``arc`` towards that group keeps of
+        the AND of their masks against the AND of the other group's. The
+        tuples with three or more distinct values are read by
+        ``wide_supports``, only when the scan keeps some.
+        """
+        distinct, shape = atom_layout(args)
+        firsts, repeats, fitting = self._fits.get(shape) or self._fit(shape)
+        full = (1 << self.domain_size) - 1
+        given = [masks.get(x, full) for x in distinct]
+        common = self.scan[1]
+        for m in given:
+            common &= m
+        found = [common] * len(distinct)
+        for ones, twos, to_ones, to_twos in fitting:
+            m1 = m2 = full
+            for k in ones:
+                m1 &= given[k]
+            for k in twos:
+                m2 &= given[k]
+            kept = to_ones.revise(m1, m2)
+            if kept:  # a value kept on one side has a partner on the other
+                for k in ones:
+                    found[k] |= kept
+                kept = to_twos.revise(m2, m1)
+                for k in twos:
+                    found[k] |= kept
+        if self.scan[3]:
+            self.wide_supports(firsts, repeats, [masks.get(x) for x in distinct], found)
+        return dict(zip(distinct, found))
+
+    def _fit(self, shape: tuple[int, ...]) -> tuple:
+        """An atom shape's first positions, its (position, first position)
+        pairs of repeated variables, and (the variables of each group, the
+        arc towards each) for every two-valued pattern of the scan that
+        keeps each variable in one group; made once per shape."""
+        firsts = tuple(dict.fromkeys(shape))
+        repeats = tuple((p, f) for p, f in enumerate(shape) if p != f)
+        fitting = []
+        for pattern in self.scan[2]:
+            if all(pattern[p] == pattern[f] for p, f in repeats):
+                ones = tuple(k for k, p in enumerate(firsts) if pattern[p])
+                twos = tuple(k for k, p in enumerate(firsts) if not pattern[p])
+                at_ones = tuple(p for p in range(self.arity) if pattern[p])
+                at_twos = tuple(p for p in range(self.arity) if not pattern[p])
+                arcs = self.arc(at_twos, at_ones), self.arc(at_ones, at_twos)
+                fitting.append((ones, twos, *arcs))
+        plan = self._fits[shape] = firsts, repeats, fitting
+        return plan
+
+    def wide_supports(
+        self, firsts: Sequence[int], repeats: Sequence[tuple[int, int]],
+        given: Sequence[int | None], found: list[int],
+    ) -> None:
+        """ORs into ``found`` the values each variable takes in the scan's
+        supporting tuples with three or more distinct values. The variables
+        have their first positions at ``firsts`` and masks ``given`` (None
+        for an unrestricted one), and ``repeats`` pairs each repeated
+        position with its variable's first. A kind whose scan keeps such
+        tuples defines it."""
+        raise NotImplementedError
 
     def tuples_by_value(self, position: int) -> dict[int, tuple]:
-        """The tuples grouped by the value at one position, listed once per
-        position and kept."""
+        """The scan's tuples with three or more distinct values by the
+        value at one position, grouped once per position and kept."""
         buckets = self._buckets.get(position)
         if buckets is None:
             grouped: dict[int, list] = {}
-            for t in self:
+            for t in self.scan[3]:
                 grouped.setdefault(t[position], []).append(t)
             buckets = self._buckets[position] = {v: tuple(ts) for v, ts in grouped.items()}
         return buckets
@@ -118,12 +199,22 @@ class RuleRelation(Set):
     def _buckets(self) -> dict[int, dict[int, tuple]]:
         return {}
 
+    @functools.cached_property
+    def _arcs(self) -> dict[tuple, object]:
+        return {}
+
+    @functools.cached_property
+    def _fits(self) -> dict[tuple[int, ...], tuple]:
+        return {}
+
 
 class ListedRelation(frozenset, RuleRelation):
-    """A relation given by its tuples, as a frozenset of them. Its index
+    """A relation given by its tuples, as a frozenset of them. Its scan
     is their ``scan_index``, built on first use, and its arcs are
-    ``TableArc``s over that index's partner masks. ``Structure`` checks
+    ``TableArc``s over that scan's partner masks. ``Structure`` checks
     the tuples before it makes one."""
+
+    arc_class = TableArc
 
     def __new__(cls, tuples: Iterable[tuple[int, ...]], arity: int, domain_size: int):
         self = super().__new__(cls, map(tuple, tuples))
@@ -134,22 +225,17 @@ class ListedRelation(frozenset, RuleRelation):
         return type(self), (tuple(self), self.arity, self.domain_size)
 
     @functools.cached_property
-    def scan(self) -> tuple[tuple[int, ...], int, dict]:
+    def scan(self) -> tuple[tuple[int, ...], int, dict, tuple]:
         return scan_index(self, self.arity)
 
-    def index(self) -> tuple[tuple[int, ...], int]:
-        return self.scan[:2]
-
-    def arc(self, watched: tuple[int, ...], affected: tuple[int, ...]) -> TableArc:
-        return TableArc(self.domain_size, *arc_partners(self.scan, self.arity, watched, affected))
-
-    def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
-        """A scan of the tuples that ``live_tuples`` names."""
-        distinct, firsts, repeats = atom_layout(args)
-        given = [masks.get(x) for x in distinct]
+    def wide_supports(
+        self, firsts: Sequence[int], repeats: Sequence[tuple[int, int]],
+        given: Sequence[int | None], found: list[int],
+    ) -> None:
+        """``RuleRelation.wide_supports`` over the tuples that
+        ``live_tuples`` names."""
         live = [None if m is None else list(mask_bits(m)) for m in given]
         checks = [(p, m) for p, m in zip(firsts, given) if m is not None]
-        found = [0] * len(distinct)
         for t in live_tuples(self, firsts, live):
             for i, j in repeats:
                 if t[i] != t[j]:
@@ -161,12 +247,14 @@ class ListedRelation(frozenset, RuleRelation):
                 else:
                     for k, p in enumerate(firsts):
                         found[k] |= 1 << t[p]
-        return dict(zip(distinct, found))
 
 
-def scan_index(tuples: Iterable[tuple[int, ...]], arity: int) -> tuple[tuple[int, ...], int, dict]:
-    """Projection masks, diagonal mask and two-valued partner masks of
-    listed tuples, which must be iterable more than once.
+def scan_index(
+    tuples: Iterable[tuple[int, ...]], arity: int
+) -> tuple[tuple[int, ...], int, dict, tuple]:
+    """Projection masks, diagonal mask, two-valued partner masks and the
+    tuples with three or more distinct values of listed tuples, which must
+    be iterable more than once.
 
     A tuple with exactly two distinct values is constant on exactly one
     pair of position groups, its equality pattern; its partner masks are
@@ -177,6 +265,7 @@ def scan_index(tuples: Iterable[tuple[int, ...]], arity: int) -> tuple[tuple[int
     projections = tuple(sum(1 << v for v in c) for c in columns)
     diagonal = 0
     partners: dict[tuple[bool, ...], tuple[dict[int, int], dict[int, int]]] = {}
+    wide = []
     for t in tuples:
         values = set(t)
         if len(values) == 1:
@@ -188,7 +277,9 @@ def scan_index(tuples: Iterable[tuple[int, ...]], arity: int) -> tuple[tuple[int
             forward, backward = partners.setdefault(pattern, ({}, {}))
             forward[a] = forward.get(a, 0) | 1 << b
             backward[b] = backward.get(b, 0) | 1 << a
-    return projections, diagonal, partners
+        else:
+            wide.append(t)
+    return projections, diagonal, partners, tuple(wide)
 
 
 def arc_partners(
@@ -198,7 +289,7 @@ def arc_partners(
     partner dicts turned to run from the watched to the affected positions
     (each watched value to its affected partners, and back) and the
     diagonal. Raises ValueError unless the groups partition the positions."""
-    _, diagonal, shapes = scan
+    diagonal, shapes = scan[1:3]
     forward = 0 in watched
     pattern = tuple(p in (watched if forward else affected) for p in range(arity))
     if all(pattern) or sorted(watched + affected) != list(range(arity)):
@@ -332,7 +423,10 @@ class Structure:
         one value across its positions, and that value lies in the
         variable's mask if ``masks`` has one; a variable without a mask is
         unrestricted. Returns one mask per distinct variable, all empty when
-        no tuple supports the atom."""
+        no tuple supports the atom. The relation answers from its diagonal,
+        the arcs of the two-valued equality patterns that keep each
+        variable in one group, and a scan of its tuples with three or more
+        distinct values alone (``RuleRelation.support_masks``)."""
         return self.relations[name].support_masks(args, masks)
 
     def projection_mask(self, name: str, position: int) -> int:
@@ -366,31 +460,27 @@ def mask_bits(mask: int) -> Iterator[int]:
 
 
 @functools.lru_cache(maxsize=1024)
-def atom_layout(
-    args: tuple[str, ...],
-) -> tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """An atom's distinct variables, the first position of each, and the
-    (position, first position) pair of every repeated occurrence."""
-    distinct = tuple(dict.fromkeys(args))
-    firsts = tuple(map(args.index, distinct))
-    repeats = tuple((i, args.index(x)) for i, x in enumerate(args) if args.index(x) != i)
-    return distinct, firsts, repeats
+def atom_layout(args: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """An atom's distinct variables and its shape: the first position of
+    each position's variable."""
+    return tuple(dict.fromkeys(args)), tuple(map(args.index, args))
 
 
 def live_tuples(
     relation: RuleRelation, firsts: Sequence[int], live: Sequence[Sequence[int] | None]
 ) -> Iterable[tuple[int, ...]]:
-    """Where a support scan starts: the ``tuples_by_value`` buckets of the
-    live values at the position whose variable has the fewest of them, or
-    every tuple when no variable is restricted. ``live`` holds each
-    variable's live values, None for an unrestricted one; a variable with
-    none reads no tuple, and one with a single value reads one bucket."""
+    """Where a ``wide_supports`` scan starts: the ``tuples_by_value``
+    buckets of the live values at the position whose variable has the
+    fewest of them, or every tuple of the scan with three or more distinct
+    values when no variable is restricted. ``live`` holds each variable's
+    live values, None for an unrestricted one; a variable with none reads
+    no tuple, and one with a single value reads one bucket."""
     start = None
     for p, values in zip(firsts, live):
         if values is not None and (start is None or len(values) < len(start[1])):
             start = p, values
     if start is None:
-        return itertools.chain.from_iterable(relation.tuples_by_value(0).values())
+        return relation.scan[3]
     position, values = start
     buckets = relation.tuples_by_value(position)
     return itertools.chain.from_iterable(buckets.get(v, ()) for v in values)

@@ -27,13 +27,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import qf
 from .combinatorics import iter_identifications
 from .formulas import Eq, Instance, Neq, Rel, canonical_database, contract_equalities
-from .model import ListedRelation, RuleRelation, Signature, Structure, arc_partners
-from .model import atom_layout, live_tuples, mask_bits, scan_index
+from .model import ListedRelation, RuleRelation, Signature, Structure, live_tuples, mask_bits
+from .model import scan_index
 
 Decider = Callable[[Instance], bool]
 
@@ -361,8 +361,11 @@ class _ProductRelation(RuleRelation):
     coordinates have one equality pattern. Membership and ``len`` build no
     tuple; iterating generates them, one factor tuple at a time. The index
     is lifted from the factor's, arcs are ``_ProductArc``s over its lifted
-    partner masks, and ``support_masks`` scans the factor's tuples.
+    partner masks, and ``wide_supports`` scans the factor's tuples with
+    three or more distinct values.
     """
+
+    arc_class = _ProductArc
 
     def __init__(self, factor: RuleRelation, own_scale: int, other_scale: int, other_size: int):
         self.factor = factor
@@ -418,27 +421,22 @@ class _ProductRelation(RuleRelation):
                 )
 
     @functools.cached_property
-    def scan(self) -> tuple[tuple[int, ...], int, dict]:
+    def scan(self) -> tuple[tuple[int, ...], int, dict, tuple]:
         """The factor's ``scan_index`` lifted to the product, built on first use.
 
         Only factor tuples with at most ``other_size`` distinct values give
         product tuples. Projections and the diagonal are the factor's,
         lifted to every other coordinate. Each shape keeps, per direction,
         one lifted factor partner mask per own value with partners: the
-        O(|D_own|) masks that ``_ProductArc`` answers from.
+        O(|D_own|) masks that ``_ProductArc`` answers from. The tuples with
+        three or more distinct values stay factor tuples.
         """
-        projections, diagonal, partners = _factor_index(self.factor, self.other_size)
+        projections, diagonal, partners, wide = _factor_index(self.factor, self.other_size)
         shapes = {
             pattern: tuple({o: self.lift(m) for o, m in side.items()} for side in sides)
             for pattern, sides in partners.items()
         }
-        return tuple(map(self.lift, projections)), self.lift(diagonal), shapes
-
-    def index(self) -> tuple[tuple[int, ...], int]:
-        return self.scan[:2]
-
-    def arc(self, watched: tuple[int, ...], affected: tuple[int, ...]) -> _ProductArc:
-        return _ProductArc(self, *arc_partners(self.scan, self.arity, watched, affected))
+        return tuple(map(self.lift, projections)), self.lift(diagonal), shapes, wide
 
     def lift(self, mask: int) -> int:
         """The product elements whose own coordinate is in a factor mask."""
@@ -457,32 +455,35 @@ class _ProductRelation(RuleRelation):
             rows[o] = rows.get(o, 0) | 1 << v - o * scale
         return rows
 
-    def support_masks(self, args: tuple[str, ...], masks: Mapping[str, int]) -> dict[str, int]:
-        """``Structure.support_masks`` from the owning factor's tuples.
+    def wide_supports(
+        self, firsts: Sequence[int], repeats: Sequence[tuple[int, int]],
+        given: Sequence[Optional[int]], found: list[int],
+    ) -> None:
+        """``RuleRelation.wide_supports`` over the factor tuples with three
+        to ``other_size`` distinct values.
 
         Each mask is split into its rows, one per live own value. The scan
-        starts where ``live_tuples`` says: the owning factor's buckets of
-        the live own values of the variable with the fewest, or every
-        factor tuple. A factor tuple fits when each variable has one own
-        value across its positions; each block of equal own values then
-        gets the AND of its variables' rows, and the tuple is dropped as
-        soon as a block's row is empty. The blocks need pairwise distinct
-        other coordinates. With k blocks, a block of at least k values can
-        always pick last, since the other blocks take at most k - 1 of its
-        values; so when every block is that large each keeps its whole row,
-        and otherwise ``_representatives`` finds the coordinates that leave
-        the other blocks a system of distinct representatives. Kept rows
-        are ORed per variable and own value, and shifted back once at the
-        end, so a revision costs a few small-int operations per factor tuple
-        it reads and no product tuple is formed.
+        starts where ``live_tuples`` says: the buckets of the live own
+        values of the variable with the fewest, or every such factor tuple.
+        A factor tuple fits when each variable has one own value across its
+        positions; each block of equal own values then gets the AND of its
+        variables' rows, and the tuple is dropped as soon as a block's row
+        is empty. The k >= 3 blocks need pairwise distinct other
+        coordinates. A block of at least k values can always pick last,
+        since the other blocks take at most k - 1 of its values; so when
+        every block is that large each keeps its whole row, and otherwise
+        ``_representatives`` finds the coordinates that leave the other
+        blocks a system of distinct representatives. Kept rows are ORed per
+        variable and own value, and shifted back once at the end, so a
+        revision costs a few small-int operations per factor tuple it reads
+        and no product tuple is formed.
         """
-        distinct, firsts, repeats = atom_layout(args)
-        rows = [None if (m := masks.get(x)) is None else self.rows(m) for x in distinct]
+        rows = [None if m is None else self.rows(m) for m in given]
         checks = [(p, r) for p, r in zip(firsts, rows) if r is not None]
         free = [p for p, r in zip(firsts, rows) if r is None]
         row = self.row
-        found: list[dict[int, int]] = [{} for _ in distinct]
-        for t in live_tuples(self.factor, firsts, rows):
+        kept_rows: list[dict[int, int]] = [{} for _ in firsts]
+        for t in live_tuples(self, firsts, rows):
             for i, j in repeats:
                 if t[i] != t[j]:
                     break
@@ -504,11 +505,12 @@ class _ProductRelation(RuleRelation):
                             kept = _representatives(allowed)
                             break
                     if kept is not None:
-                        for f, p in zip(found, firsts):
+                        for f, p in zip(kept_rows, firsts):
                             o = t[p]
                             f[o] = f.get(o, 0) | kept[o]
         scale = self.own_scale
-        return {x: sum(r << o * scale for o, r in f.items()) for x, f in zip(distinct, found)}
+        for k, f in enumerate(kept_rows):
+            found[k] |= sum(r << o * scale for o, r in f.items())
 
 
 def _representatives(allowed: dict[int, int]) -> Optional[dict[int, int]]:

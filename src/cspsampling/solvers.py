@@ -15,11 +15,16 @@ per-position projections of its atoms, or to the diagonal for atoms on
 one variable. Atoms with two distinct variables become a pair of arcs from
 their relation's ``arc`` query; wider atoms are revised a whole mask
 at a time by the target's ``support_masks`` query, up to the generalized
-arc-consistency (GAC) fixpoint. That fixpoint is the one root of all three
-procedures: ``arc_consistency`` is the root alone, ``hom_search`` searches from it,
-forward-checking wide atoms, and ``establish_23_consistency`` seeds its pair
-relations, kept as one bit matrix per ordered pair of variables, from it and
-closes them a whole matrix at a time.
+arc-consistency (GAC) fixpoint. A relation answers that query through the
+same arcs: a tuple with two distinct values is a tuple of the arc of its
+equality pattern, so a wide atom is revised by the diagonal, by the arcs
+of the patterns that keep each of its variables in one group, and by a
+scan of only the tuples with three or more distinct values. That fixpoint
+is the one root of all three procedures: ``arc_consistency`` is the root
+alone, ``hom_search`` searches from it, forward-checking wide atoms, and
+``establish_23_consistency`` seeds its pair relations, kept as one bit
+matrix per ordered pair of variables, from it and closes them a whole
+matrix at a time.
 
 A pipeline over a sample family validates and contracts a request once and
 hands every sample's decider the result, which the decider does not check
@@ -104,7 +109,9 @@ def _plan(target: Structure, symbol: str, shape: tuple[int, ...]) -> tuple:
     ``shape`` gives each position the first position of its variable. A
     plan is (the first position of each distinct variable, each one's seed
     mask: the diagonal on one variable, else the AND of the projections at
-    its positions, and the two arcs of a two-variable atom or None).
+    its positions, and the two arcs of a two-variable atom or None). The
+    arcs are the relation's own, made once per shape and direction, so a
+    plan shares them with the relation's ``support_masks``.
     """
     firsts = tuple(dict.fromkeys(shape))
     groups = [tuple(p for p, f in enumerate(shape) if f == first) for first in firsts]

@@ -333,6 +333,8 @@ PARSE_ERRORS = [
     (_structure, "domain 1\nrel E: (0,x)", "bad tuple '(0,x)'", 3),
     (_structure, "domain 1\nedge (0,0)", "unexpected line 'edge (0,0)'", 3),
     (_structure, "domain 2\nlabel 0 a\nrel E:", "labels must cover elements 0..domain-1", 1),
+    (_structure, "domain 2\nlabel 0 a\nlabel 5 b\nrel E:",
+     "labels must cover elements 0..domain-1", 4),
     (_instance, "lt(x,y)\nlt(x, 1)", "bad argument list in 'lt(x, 1)'", 2),
     (_instance, "lt(x,y)\nlt(x)", "lt expects 2 arguments, got 1", 2),
     (_instance, "lt(x,y)\ngt(x,y)", "unknown relation symbol 'gt'", 2),
@@ -360,6 +362,10 @@ PARSE_ERRORS = [
     (io.parse_theory_spec, _EXPLICIT % "rel U: (0);", "sample block missing 'domain'", 1),
     (io.parse_theory_spec, _EXPLICIT % "domain 1; rel U: (1);",
      "element 1 out of range in U(1,)", 1),
+    (io.parse_theory_spec, "theory E = explicit { sig U/1; sample {\n domain 2;\n rel U: (0);\n"
+     " rel U: (1); } }", "repeated 'rel U' line", 4),
+    (io.parse_theory_spec, "theory E = explicit { sig U/1; sample {\n domain 2;\n domain 3; } }",
+     "repeated 'domain' line", 3),
 ]
 
 

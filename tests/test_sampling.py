@@ -465,12 +465,120 @@ def test_implicit_product_matches_the_materialized_reference():
         _assert_matches_reference(b1, b2, rng)
 
 
+def _mixed_tuples(rng, size, arity):
+    """Random tuples with 1, 2 or more distinct values, in random order."""
+    tuples = set()
+    for _ in range(rng.randint(1, 12)):
+        values = rng.sample(range(size), min(size, arity, rng.choice((1, 2, 2, 3, 4))))
+        t = values + [rng.choice(values) for _ in range(arity - len(values))]
+        rng.shuffle(t)
+        tuples.add(tuple(t))
+    return tuples
+
+
+def _atoms_and_masks(rng, arity, size):
+    """Atoms of 1 to min(arity, 4) distinct variables, some repeated, with
+    masks that are absent, empty, a singleton, random or the whole domain."""
+    for k in range(1, min(arity, 4) + 1):
+        pool = "xyzw"[:k]
+        for _ in range(6):
+            args = list(pool) + [rng.choice(pool) for _ in range(arity - k)]
+            rng.shuffle(args)
+            masks = {}
+            for x in pool:
+                kinds = (None, 0, 1 << rng.randrange(size), rng.getrandbits(size), (1 << size) - 1)
+                if (mask := rng.choice(kinds)) is not None:
+                    masks[x] = mask
+            yield tuple(args), masks
+
+
+def test_support_masks_match_a_brute_force_scan():
+    import conftest as helpers
+
+    rng = random.Random(20261021)
+    widths, other_sizes, queries = set(), set(), 0
+    for _ in range(40):
+        size, arity = rng.randint(2, 5), rng.randint(3, 4)
+        own = Structure(Signature([("R", arity)]), size, {"R": _mixed_tuples(rng, size, arity)})
+        widths |= {len(set(t)) for t in own.relations["R"]}
+        other_size = rng.randint(1, 3)
+        other_sizes.add(other_size)
+        other = Structure(Signature([("U", 1)]), other_size, {"U": {(0,)}})
+        targets = [(own, own.relations["R"])]
+        for b1, b2 in ((own, other), (other, own)):
+            listed = helpers.materialized_product(b1, b2).relations["R"]
+            targets.append((_implicit(b1, b2), listed))
+        for target, listed in targets:
+            for args, masks in _atoms_and_masks(rng, arity, target.domain_size):
+                want = helpers.scan_support_masks(listed, args, masks)
+                assert target.support_masks("R", args, masks) == want, (listed, args, masks)
+                queries += 1
+    assert widths == {1, 2, 3, 4} and other_sizes == {1, 2, 3} and queries > 2000
+
+
+def test_a_cold_solve_makes_each_arc_once(monkeypatch):
+    import conftest as helpers
+    import cspsampling.model as model
+
+    made = []  # (relation, watched, affected) of each arc built
+    partners = model.arc_partners
+
+    def counted(scan, arity, watched, affected):
+        made.append((id(scan), watched, affected))
+        return partners(scan, arity, watched, affected)
+
+    monkeypatch.setattr(model, "arc_partners", counted)
+    robot = cs.product_sampling(helpers.order_family(), helpers.colors_family())
+    (sample,) = robot.generate(4)
+    # the wide atom is revised by the arcs of the two-variable atoms' shapes
+    atoms = [("a", "b", "c"), ("a", "a", "b"), ("c", "a", "c"), ("b", "c", "c")]
+    inst = Instance.of(robot.signature, [Rel("min3", args) for args in atoms], declared="abc")
+    for _ in range(2):
+        cs.hom_search(inst, sample)
+    rel = sample.relations["min3"]
+    scan = id(rel.scan)
+    groups = [((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2))]
+    assert sorted(made) == sorted((scan, *g) for pair in groups for g in (pair, pair[::-1]))
+    for shape, pair in zip([(0, 0, 2), (0, 1, 0), (0, 1, 1)], groups):
+        plan_arcs = sample._indexes["plan", "min3", shape][2]
+        assert plan_arcs[0] is rel.arc(*pair) and plan_arcs[1] is rel.arc(*pair[::-1])
+
+
 def test_support_scans_read_only_live_buckets(monkeypatch):
     import conftest as helpers
     import cspsampling.sampling as sampling
 
-    reads = []  # (position, value) of each bucket a scan reads; None for all
     buckets, representatives = RuleRelation.tuples_by_value, sampling._representatives
+
+    def unread(self, position):
+        raise AssertionError(f"a bucket at position {position} was read")
+
+    # min3 tuples have at most two distinct values, so the diagonal and the
+    # arcs answer every query and no bucket is read, on the product or on
+    # its listed copy
+    monkeypatch.setattr(RuleRelation, "tuples_by_value", unread)
+    rng = random.Random(11)
+    order, colors = helpers.order_family(), helpers.colors_family()
+    args = ("y", "x", "z")  # x at position 1
+    for n in (3, 5):
+        (b1,), (b2,) = order.generate(n), colors.generate(n)
+        prod, ref = _implicit(b1, b2), helpers.materialized_product(b1, b2)
+        full, other = (1 << prod.domain_size) - 1, b2.domain_size
+        for target in (prod, ref):
+            assert target.support_masks("min3", args, {"x": 0, "y": full}) == dict.fromkeys(
+                "yxz", 0
+            )
+            for o in range(n):
+                masks = {"x": (rng.getrandbits(other) | 1) << o * other, "y": full}
+                want = helpers.scan_support_masks(ref.relations["min3"], args, masks)
+                assert target.support_masks("min3", args, masks) == want
+    for case_args, masks in _support_mask_cases(rng, b1, b2, b1, 3):
+        want = helpers.scan_support_masks(ref.relations["min3"], case_args, masks)
+        assert prod.support_masks("min3", case_args, masks) == want
+        assert ref.support_masks("min3", case_args, masks) == want
+
+    # T's (0, 1, 2) and (1, 2, 3) have three blocks: a scan reads their buckets
+    reads = []  # (position, value) of each bucket a scan reads
 
     class Recorded(dict):
         def __init__(self, grouped, position):
@@ -480,10 +588,6 @@ def test_support_scans_read_only_live_buckets(monkeypatch):
         def get(self, value, default=None):
             reads.append((self.position, value))
             return super().get(value, default)
-
-        def values(self):
-            reads.append((self.position, None))
-            return super().values()
 
     blocks = []
 
@@ -497,33 +601,24 @@ def test_support_scans_read_only_live_buckets(monkeypatch):
         lambda self, position: Recorded(buckets(self, position), position),
     )
     monkeypatch.setattr(sampling, "_representatives", checked)
-    rng = random.Random(11)
-    order, colors = helpers.order_family(), helpers.colors_family()
-    args = ("y", "x", "z")  # x at position 1
-    for n in (3, 5):
-        (b1,), (b2,) = order.generate(n), colors.generate(n)
-        prod, ref = _implicit(b1, b2), helpers.materialized_product(b1, b2)
-        full, other = (1 << prod.domain_size) - 1, b2.domain_size
-        for target in (prod, ref):
-            reads.clear()
-            assert target.support_masks("min3", args, {"x": 0, "y": full}) == dict.fromkeys(
-                "yxz", 0
-            )
-            assert reads == []
-        for o in range(n):  # a mask inside own row o reads that row's bucket alone
-            masks = {"x": (rng.getrandbits(other) | 1) << o * other, "y": full}
-            want = helpers.scan_support_masks(ref.relations["min3"], args, masks)
-            reads.clear()
-            assert prod.support_masks("min3", args, masks) == want
-            assert reads == [(1, o)]
-    # min3 tuples have at most two distinct values; T's reach three blocks
     three = Structure(Signature([("T", 3)]), 4, {"T": {(0, 1, 2), (1, 2, 3), (3, 1, 3)}})
-    for b1, b2, name in [(b1, b2, "min3"), (three, Structure(Signature([("U", 1)]), 3), "T")]:
-        prod, ref = _implicit(b1, b2), helpers.materialized_product(b1, b2)
-        for case_args, masks in _support_mask_cases(rng, b1, b2, b1, 3):
-            want = helpers.scan_support_masks(ref.relations[name], case_args, masks)
-            assert prod.support_masks(name, case_args, masks) == want
-    assert set(blocks) == {2, 3}
+    unary = Structure(Signature([("U", 1)]), 3)
+    prod, ref = _implicit(three, unary), helpers.materialized_product(three, unary)
+    full, other = (1 << prod.domain_size) - 1, unary.domain_size
+    for target in (prod, ref):
+        reads.clear()
+        assert target.support_masks("T", args, {"x": 0, "y": full}) == dict.fromkeys("yxz", 0)
+        assert reads == []
+    for o in range(three.domain_size):  # a mask inside own row o reads that row's bucket alone
+        masks = {"x": (rng.getrandbits(other) | 1) << o * other, "y": full}
+        want = helpers.scan_support_masks(ref.relations["T"], args, masks)
+        reads.clear()
+        assert prod.support_masks("T", args, masks) == want
+        assert reads == [(1, o)]
+    for case_args, masks in _support_mask_cases(rng, three, unary, three, 3):
+        want = helpers.scan_support_masks(ref.relations["T"], case_args, masks)
+        assert prod.support_masks("T", case_args, masks) == want
+    assert set(blocks) == {3}
 
 
 def test_product_samples_materialize_on_demand_exactly():
